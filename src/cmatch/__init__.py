@@ -7,9 +7,8 @@ fluid-limit ODEs whose curves predict greedy's asymptotic performance.
 """
 
 from .degrees import DegreePMF, dominates, explicit, from_spec, poisson, regular
-from .stream import (DegreeSequencePair, HalfEdgePool, Multigraph,
-                     build_full_graph, new_pool, sample_degree_sequences,
-                     write_edge_list)
+from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
+                     pair_half_edges, sample_degree_sequences, write_edge_list)
 from .matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                        SMALLEST, Trajectory, capacities_from_profile,
                        final_matched_counts, histograms_at,
@@ -24,9 +23,8 @@ from .offline import OptResult, max_b_matching, max_matching
 
 __all__ = [
     "DegreePMF", "regular", "poisson", "explicit", "from_spec", "dominates",
-    "DegreeSequencePair", "HalfEdgePool", "Multigraph",
-    "sample_degree_sequences", "new_pool", "build_full_graph",
-    "write_edge_list",
+    "DegreeSequencePair", "Multigraph", "sample_degree_sequences",
+    "pair_half_edges", "build_full_graph", "write_edge_list",
     "GREEDY", "RANKING", "SMALLEST", "HIGHEST", "BIASED_GREEDY", "POLICIES",
     "Trajectory", "run_policy", "final_matched_counts", "matched_fraction_at",
     "histograms_at", "capacities_from_profile", "write_trajectory_csv",

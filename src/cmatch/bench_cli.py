@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import degrees, matching
 from .fluid import (CapacityProfile, FluidCurve, solve_G_capless,
@@ -101,6 +100,9 @@ class ExperimentConfig:
             raise ConfigError("field 'merge_capacity' must be >= 1")
         if not 0 < self.step <= 1e-2:
             raise ConfigError("field 'step' must lie in (0, 1e-2]")
+        every = self.checkpoint_every
+        if every is not None and (type(every) is not int or every < 1):
+            raise ConfigError("field 'checkpoint_every' must be an integer >= 1 or null")
         return self
 
 
@@ -361,6 +363,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
             wins = sum(1 for d in diffs if d > 0)
             ties = sum(1 for d in diffs if d == 0)
             decisive = len(diffs) - ties
+            from scipy import stats  # only the sign test needs it; slow to import
             p_value = (stats.binomtest(wins, decisive, 0.5,
                                        alternative="greater").pvalue
                        if decisive else 1.0)
@@ -376,9 +379,13 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     """Merge groups of C equal-degree vertices into one vertex of capacity C
     and compare greedy's normalized performance against the baseline."""
+    c_merge = int(cfg.merge_capacity)
+    too_small = [int(n) for n in cfg.n_values if int(n) < c_merge]
+    if too_small:
+        raise ConfigError(f"field 'n_values': {too_small} leave no merged vertex "
+                          f"at merge_capacity {c_merge}")
     out_dir = Path(cfg.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    c_merge = int(cfg.merge_capacity)
     pmf_u = degrees.from_spec(cfg.model_u)
     pmf_v = degrees.from_spec(cfg.model_v)
     stretched = np.zeros(pmf_u.k_max * c_merge + 1)
@@ -402,11 +409,13 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
         for r in range(cfg.runs):
             seed = cfg.seed_base + r
             seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-            traj = run_policy(seq, None, GREEDY, seed)
+            traj = run_policy(seq, None, GREEDY, seed,
+                              checkpoint_every=cfg.checkpoint_every)
             base_fr.append(traj.final_matched / traj.capacity_total)
             base_dev.append(sup_deviation(traj, base_curve))
             seq_m = sample_degree_sequences(pmf_u_merged, pmf_v, n_merged, seed)
-            traj_m = run_policy(seq_m, c_merge, GREEDY, seed)
+            traj_m = run_policy(seq_m, c_merge, GREEDY, seed,
+                                checkpoint_every=cfg.checkpoint_every)
             merged_fr.append(traj_m.final_matched / traj_m.capacity_total)
             merged_dev.append(sup_deviation(traj_m, merged_curve))
         results.append(_stats_row(n, GREEDY, base_fr, base_dev,

@@ -23,6 +23,8 @@ _DOMAIN_TOL = 1e-12
 # Above 1 - _H_BAND the ratio form of h(q) is a 0/0 trap; switch to the
 # exact tail polynomial, which removes the singularity with no tolerance.
 _H_BAND = 1e-7
+# Largest Poisson support built; far past any mean a simulation can use.
+_POISSON_MAX_SUPPORT = 1_000_000
 
 
 def _unit(x: float) -> float:
@@ -185,21 +187,29 @@ def regular(d: int) -> DegreePMF:
 
 def poisson(c: float, tail_eps: float = 1e-12) -> DegreePMF:
     """Poisson(c) truncated at the smallest k_max with tail mass below
-    ``tail_eps``, then renormalized."""
+    ``tail_eps``, then renormalized.
+
+    Terms are built in log space, ``k log c - c - lgamma(k + 1)``, so
+    ``exp(-c)`` never underflows for large c, and tail masses are summed
+    from the top down, so the cut never rests on a difference ``1 - cdf``.
+    """
     if c <= 0:
         raise ValueError("poisson parameter must be positive")
     if not 0 < tail_eps <= 1e-6:
         raise ValueError("tail_eps must lie in (0, 1e-6]")
-    terms = [math.exp(-c)]
-    cum = terms[0]
-    k = 0
-    while 1.0 - cum >= tail_eps:
-        k += 1
-        if k > 100_000:
-            raise RuntimeError("poisson truncation failed to converge")
-        terms.append(terms[-1] * c / k)
-        cum += terms[-1]
-    return _build(np.array(terms), f"poisson-{c:g}")
+    # 40 standard deviations (plus 100) past the mean: the mass beyond is
+    # below 1e-60, so the top-down tail sums are exact to rounding.
+    k_hi = int(c + 40.0 * math.sqrt(c) + 100.0)
+    if k_hi > _POISSON_MAX_SUPPORT:
+        raise ValueError(f"poisson parameter {c!r} too large: support would "
+                         f"exceed {_POISSON_MAX_SUPPORT} degrees")
+    log_c = math.log(c)
+    terms = np.array([math.exp(k * log_c - c - math.lgamma(k + 1))
+                      for k in range(k_hi + 1)])
+    beyond = np.cumsum(terms[::-1])[::-1][1:]  # beyond[k] = P(X > k)
+    cut = np.flatnonzero(beyond < tail_eps)
+    k_max = int(cut[0]) if cut.size else k_hi
+    return _build(terms[: k_max + 1], f"poisson-{c:g}")
 
 
 def explicit(probs, label: str = "explicit") -> DegreePMF:

@@ -1,9 +1,12 @@
 """Online matching policies over the streamed configuration model.
 
 Each run owns two independent random streams derived from its seed: the
-pairing stream builds the graph, the decision stream breaks policy ties.
-Policies therefore act on the identical realized multigraph for a fixed
-(sequence, seed), which sharpens paired comparisons.
+pairing stream draws the half-edge permutation that is the graph, the
+decision stream breaks policy ties. Policies therefore act on the identical
+realized multigraph for a fixed (sequence, seed), which sharpens paired
+comparisons. A run reads its permutation one arrival slice at a time; the
+bulk Monte Carlo path :func:`final_matched_counts` runs greedy over many
+permutations at once, vectorized across runs.
 
 Policies:
 
@@ -14,7 +17,7 @@ Policies:
 * ``smallest`` / ``highest`` - lookahead baselines: free endpoint with the
   minimal / maximal residual degree after this arrival's pairings, ties
   broken uniformly from the decision stream.
-* ``biased_greedy`` - for pools whose free endpoints have pre-arrival
+* ``biased_greedy`` - for arrivals whose free endpoints have pre-arrival
   residual degree in {1, 2} only: prefer the degree-2 endpoint with a fixed
   probability (default 2/3, the bias that replicates ranking's choice law
   on 2-regular inputs).
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stream import (DegreeSequencePair, HalfEdgePool, decision_stream,
-                     new_pool, pairing_stream, _pool_arrays)
+from .stream import (DegreeSequencePair, decision_stream, half_edge_slots,
+                     pair_half_edges, pairing_stream)
 
 GREEDY = "greedy"
 RANKING = "ranking"
@@ -35,6 +38,10 @@ SMALLEST = "smallest"
 HIGHEST = "highest"
 BIASED_GREEDY = "biased_greedy"
 POLICIES = (GREEDY, RANKING, SMALLEST, HIGHEST, BIASED_GREEDY)
+
+# Half-edge slots per block of the bulk Monte Carlo path: bounds its memory
+# while keeping each vectorized step long enough to amortize its overhead.
+_BLOCK_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +119,13 @@ def capacities_from_profile(fractions, n: int) -> np.ndarray:
     return caps
 
 
-def _snapshot(pool: HalfEdgePool, caps: list, step: int) -> Checkpoint:
+def _snapshot(rem: list, caps: list, step: int) -> Checkpoint:
+    """Histograms of the real offline vertices; ``rem`` and ``caps`` carry
+    the balancing vertex as their last entry, which is skipped."""
     free: dict = {}
     saturated: dict = {}
     by_cap: dict = {}
-    rem = pool.remaining_degree
-    for u in range(pool.n_offline):
-        d = rem[u]
-        c = caps[u]
+    for d, c in zip(rem[:-1], caps):
         if c > 0:
             free[d] = free.get(d, 0) + 1
             key = (d, c)
@@ -153,9 +159,8 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    rng_pair = pairing_stream(seed)
+    row = pair_half_edges(seq, pairing_stream(seed))[0].tolist()
     rng_dec = decision_stream(seed)
-    pool = new_pool(seq)
     caps = _init_capacities(seq, capacities)
     capacity_total = sum(caps[: seq.n_offline])
     n_arr = seq.n_arrivals
@@ -170,14 +175,19 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     if every < 1:
         raise ValueError("checkpoint_every must be >= 1")
 
+    # remaining degree per offline vertex, balancing vertex last
+    rem = np.bincount(half_edge_slots(seq), minlength=seq.n_offline + 1).tolist()
     matched_at = np.zeros(n_arr + 1, dtype=np.int64)
-    checkpoints = [_snapshot(pool, caps, 0)]
+    checkpoints = [_snapshot(rem, caps, 0)]
     events = [0, 0] if record_choice_events else None
-    rem = pool.remaining_degree
     matched = 0
+    off = 0
 
-    for t, dv in enumerate(seq.deg_v, start=1):
-        endpoints = pool.reveal_vertex(int(dv), rng_pair)
+    for t, dv in enumerate(seq.deg_v.tolist(), start=1):
+        endpoints = row[off:off + dv]
+        off += dv
+        for u in endpoints:
+            rem[u] -= 1
         chosen = _decide(policy, endpoints, caps, rem, ranks, rng_dec, bias)
         if events is not None:
             _record_event(events, endpoints, caps, rem, chosen)
@@ -186,7 +196,7 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
             matched += 1
         matched_at[t] = matched
         if t % every == 0 or t == n_arr:
-            checkpoints.append(_snapshot(pool, caps, t))
+            checkpoints.append(_snapshot(rem, caps, t))
 
     return Trajectory(matched_at_step=matched_at, checkpoints=tuple(checkpoints),
                       policy=policy, seed=seed, n_offline=seq.n_offline,
@@ -263,34 +273,32 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
                          runs: int = 1, seed: int = 0) -> np.ndarray:
     """Final greedy matched counts over ``runs`` independent graphs.
 
-    Bulk Monte Carlo path: one pairing stream drives all runs, pool and
-    capacity buffers are reset from templates. Consumes the pairing stream
-    exactly like :func:`run_policy`, so run 0 with ``runs=1`` reproduces
-    ``run_policy(seq, capacities, "greedy", seed)`` bit for bit.
+    Bulk Monte Carlo path: greedy runs in lockstep over blocks of rows of
+    :func:`pair_half_edges`, one vectorized step per arrival. With
+    ``runs=1`` it draws the very pairing :func:`run_policy` draws, so the
+    count equals ``run_policy(seq, capacities, "greedy", seed)``.
     """
-    base_slots, _ = _pool_arrays(seq)
-    base_caps = _init_capacities(seq, capacities)
-    deg_v = [int(d) for d in seq.deg_v]
-    rand = pairing_stream(seed).random
+    base_caps = np.array(_init_capacities(seq, capacities), dtype=np.int64)
+    width = base_caps.size
+    block = max(1, _BLOCK_SLOTS // max(1, seq.total_u_half_edges))
+    stops = np.cumsum(seq.deg_v).tolist()
+    arrivals = [(stop - dv, stop) for stop, dv in zip(stops, seq.deg_v.tolist()) if dv]
+    rng = pairing_stream(seed)
     out = np.empty(runs, dtype=np.int64)
-    for r in range(runs):
-        slots = base_slots.copy()
-        caps = base_caps.copy()
-        live = len(slots)
-        matched = 0
-        for dv in deg_v:
-            need = dv if dv <= live else live
-            got = False
-            for _ in range(need):
-                j = int(rand() * live)
-                u = slots[j]
-                live -= 1
-                slots[j] = slots[live]
-                if not got and caps[u] > 0:
-                    caps[u] -= 1
-                    matched += 1
-                    got = True
-        out[r] = matched
+    for lo in range(0, runs, block):
+        rows = min(block, runs - lo)
+        # each row indexes its own copy of the capacities in one flat array
+        cells = pair_half_edges(seq, rng, rows) + (np.arange(rows) * width)[:, None]
+        caps = np.tile(base_caps, rows)
+        matched = np.zeros(rows, dtype=np.int64)
+        for a, b in arrivals:
+            ends = cells[:, a:b]
+            free = caps[ends] > 0
+            hit = free.any(axis=1)
+            # greedy takes the first free endpoint in pairing order
+            caps[ends[hit, free[hit].argmax(axis=1)]] -= 1
+            matched += hit
+        out[lo:lo + rows] = matched
     return out
 
 

@@ -2,12 +2,13 @@
 
 A degree-sequence pair fixes the half-edge counts of both sides, plus a
 single balancing vertex that absorbs the total-degree deficit so a perfect
-pairing of half-edges exists. The mutable pairing state is a flat pool of
-offline half-edges with O(1) uniform removal (swap with the last live slot),
-so the graph can be revealed one arriving vertex at a time, in exactly the
-order a matching policy consumes it. Building the whole graph up front uses
-the same stream, so the two constructions are coupled bit for bit at equal
-seeds.
+pairing of half-edges exists. Pairing the arrival half-edges in arrival
+order against a uniformly random ordering of the offline half-edges gives
+exactly the configuration model's uniform pairing, so one permutation per
+graph (:func:`pair_half_edges`) is the whole pairing engine: a policy run
+reads it one arrival slice at a time, the full graph is the same slices at
+once, and the bulk Monte Carlo path permutes many rows in one call. At
+equal seeds all three see the identical pairing.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ BALANCE_U = "U"
 BALANCE_V = "V"
 
 
-def pairing_stream(seed: int) -> random.Random:
+def pairing_stream(seed: int) -> np.random.Generator:
     """Random stream driving half-edge pairing for a run with this seed."""
-    return random.Random(2 * seed + 1)
+    return np.random.default_rng(2 * seed + 1)
 
 
 def decision_stream(seed: int) -> random.Random:
@@ -98,66 +99,28 @@ def sample_degree_sequences(pmf_u: DegreePMF, pmf_v: DegreePMF,
     return DegreeSequencePair.from_degrees(deg_u, deg_v)
 
 
-class HalfEdgePool:
-    """Mutable pool of unpaired offline half-edges.
+def half_edge_slots(seq: DegreeSequencePair) -> np.ndarray:
+    """Offline vertex id of every offline half-edge, vertex by vertex; the
+    balancing vertex (id N) holds the last slots when it sits on U."""
+    extra = seq.balance_degree if seq.balance_side == BALANCE_U else 0
+    counts = np.append(seq.deg_u, extra)
+    return np.repeat(np.arange(seq.n_offline + 1, dtype=np.int64), counts)
 
-    ``slots[:live_count]`` lists one vertex id per live half-edge; removal
-    swaps with the last live slot. ``remaining_degree`` has length N+1, the
-    final entry tracking the balancing vertex when it sits on the U side.
-    Owned by a single run; never shared during mutation.
+
+def pair_half_edges(seq: DegreeSequencePair, rng: np.random.Generator,
+                    runs: int = 1) -> np.ndarray:
+    """Uniform pairings of ``runs`` independent graphs, one row each.
+
+    Each row is a uniform random ordering of :func:`half_edge_slots`.
+    Arrival half-edges, taken in arrival order, pair with the row in order:
+    arrival v gets ``row[off_v : off_v + deg_v[v]]`` with ``off_v`` the
+    degree sum of earlier arrivals, which is the configuration model's
+    uniform pairing revealed one arrival at a time. The tail
+    ``row[sum(deg_v):]`` holds the half-edges left for the balancing
+    arrival; it is empty unless the balance sits on V.
     """
-
-    __slots__ = ("slots", "live_count", "remaining_degree", "n_offline")
-
-    def __init__(self, slots: list, remaining_degree: list, n_offline: int):
-        self.slots = slots
-        self.live_count = len(slots)
-        self.remaining_degree = remaining_degree
-        self.n_offline = n_offline
-
-    def pair_one(self, rng: random.Random) -> int:
-        """Pair one arriving half-edge to a uniformly chosen live slot and
-        return the offline endpoint; O(1)."""
-        live = self.live_count
-        if live <= 0:
-            raise ValueError("half-edge pool exhausted")
-        j = int(rng.random() * live)
-        slots = self.slots
-        u = slots[j]
-        live -= 1
-        slots[j] = slots[live]
-        self.live_count = live
-        self.remaining_degree[u] -= 1
-        return u
-
-    def reveal_vertex(self, d_v: int, rng: random.Random) -> list:
-        """Pair all half-edges of one arrival, returning endpoints in pairing
-        order (this order is the uniform random edge order policies see).
-        A short list signals pool exhaustion."""
-        out = []
-        for _ in range(d_v):
-            if self.live_count <= 0:
-                break
-            out.append(self.pair_one(rng))
-        return out
-
-
-def _pool_arrays(seq: DegreeSequencePair) -> tuple:
-    """Slot and remaining-degree templates for a fresh pool."""
-    n = seq.n_offline
-    counts = seq.deg_u.astype(np.int64)
-    slots = np.repeat(np.arange(n, dtype=np.int64), counts).tolist()
-    remaining = counts.tolist() + [0]
-    if seq.balance_side == BALANCE_U:
-        slots.extend([n] * seq.balance_degree)
-        remaining[n] = seq.balance_degree
-    return slots, remaining
-
-
-def new_pool(seq: DegreeSequencePair) -> HalfEdgePool:
-    """Fresh pool holding every offline half-edge of the sequence pair."""
-    slots, remaining = _pool_arrays(seq)
-    return HalfEdgePool(slots, remaining, seq.n_offline)
+    slots = half_edge_slots(seq)
+    return rng.permuted(np.broadcast_to(slots, (runs, slots.size)), axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,19 +165,17 @@ def build_full_graph(seq: DegreeSequencePair, seed: int,
                      max_attempts: int = 100_000) -> Multigraph:
     """Realize the whole pairing for this sequence pair.
 
-    Streaming order and random stream match a policy run at the same seed,
-    so the edge set equals the union of reveal_vertex outputs. With
-    ``simple_only`` the pairing is redrawn at seeds seed, seed+1, ... until
-    the realized graph is simple.
+    Slices the pairing a policy run reads at the same seed, so the edge set
+    equals what that run reveals. With ``simple_only`` the pairing is
+    redrawn at seeds seed, seed+1, ... until the realized graph is simple.
     """
+    ends = np.cumsum(seq.deg_v).tolist()
+    starts = [0] + ends[:-1]
     attempt_seed = seed
     for _ in range(max_attempts):
-        rng = pairing_stream(attempt_seed)
-        pool = new_pool(seq)
-        adjacency = tuple(tuple(pool.reveal_vertex(int(dv), rng))
-                          for dv in seq.deg_v)
-        leftover = tuple(pool.slots[: pool.live_count]) if seq.balance_side == BALANCE_V else ()
-        graph = Multigraph(adjacency=adjacency, leftover=leftover,
+        row = pair_half_edges(seq, pairing_stream(attempt_seed))[0].tolist()
+        graph = Multigraph(adjacency=tuple(tuple(row[a:b]) for a, b in zip(starts, ends)),
+                           leftover=tuple(row[int(seq.deg_v.sum()):]),
                            n_offline=seq.n_offline, n_arrivals=seq.n_arrivals,
                            balance_side=seq.balance_side,
                            balance_degree=seq.balance_degree)

@@ -8,6 +8,7 @@ import pytest
 from cmatch.bench_cli import (PRESETS, SUMMARY_SCHEMA, ConfigError,
                               cmd_capacity_merge, cmd_compare, cmd_fluid,
                               cmd_simulate, load_config, main)
+from cmatch.matching import run_policy
 
 
 def _tiny_simulate_config(out, **overrides):
@@ -203,6 +204,38 @@ def test_main_config_error_is_exit_2(tmp_path):
     assert main(["fluid", "--preset", "no-such-preset"]) == 2
     path = _write_config(tmp_path, {"runs": 0, "experiment": "x"})
     assert main(["simulate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("every", [0, -3, 2.5, "10", True])
+def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", checkpoint_every=every))
+    assert main(["simulate", "--config", path]) == 2
+    assert "checkpoint_every" in capsys.readouterr().err
+
+
+def test_capacity_merge_honours_checkpoint_every(tmp_path, monkeypatch):
+    from cmatch import bench_cli
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("checkpoint_every"))
+        return run_policy(*args, **kwargs)
+
+    monkeypatch.setattr(bench_cli, "run_policy", spy)
+    cfg = load_config(_write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", n_values=[100], runs=2, checkpoint_every=7)),
+        None, None, None)
+    cmd_capacity_merge(cfg)
+    assert seen == [7] * 4
+
+
+def test_capacity_merge_n_below_capacity_is_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", n_values=[1], merge_capacity=2))
+    assert main(["capacity-merge", "--config", path]) == 2
+    assert "n_values" in capsys.readouterr().err
 
 
 def test_main_runtime_failure_is_exit_1(tmp_path):

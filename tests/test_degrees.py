@@ -64,6 +64,12 @@ def test_poisson_pgf_matches_exponential():
         assert p.pgf(float(s)) == pytest.approx(math.exp(4.0 * (s - 1.0)), abs=1e-9)
 
 
+def test_poisson_large_mean():
+    # exp(-c) underflows past c ~ 745; the terms are built in log space
+    for c in (745.0, 746.0, 1000.0):
+        assert abs(poisson(c).mean - c) <= 1e-6
+
+
 def test_poisson_rejects_bad_parameters():
     with pytest.raises(ValueError):
         poisson(0.0)

@@ -11,7 +11,7 @@ from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, RANKING, SMALLEST,
                              histograms_at, matched_fraction_at, run_policy,
                              write_trajectory_csv)
 from cmatch.fluid import solve_full_system
-from cmatch.stream import (DegreeSequencePair, new_pool, pairing_stream,
+from cmatch.stream import (DegreeSequencePair, pair_half_edges, pairing_stream,
                            sample_degree_sequences)
 
 from oracles import exhaustive_greedy_expectation, tiny_instances
@@ -61,12 +61,13 @@ def test_greedy_matches_first_free_endpoint_exactly():
     # replay the identical stream and recompute the decision independently
     seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 300, seed=21)
     traj = run_policy(seq, None, GREEDY, seed=21)
-    pool = new_pool(seq)
-    rng = pairing_stream(21)
+    row = pair_half_edges(seq, pairing_stream(21))[0].tolist()
     free = [True] * seq.n_offline + [False]
     matched = 0
-    for k, dv in enumerate(seq.deg_v, start=1):
-        for u in pool.reveal_vertex(int(dv), rng):
+    off = 0
+    for k, dv in enumerate(seq.deg_v.tolist(), start=1):
+        endpoints, off = row[off:off + dv], off + dv
+        for u in endpoints:
             if free[u]:
                 free[u] = False
                 matched += 1

@@ -1,13 +1,13 @@
-"""Degree-sequence sampling, the half-edge pool and graph realization."""
+"""Degree-sequence sampling, the pairing engine and graph realization."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cmatch import poisson, regular
-from cmatch.stream import (DegreeSequencePair, build_full_graph, new_pool,
-                           pairing_stream, sample_degree_sequences,
-                           write_edge_list)
+from cmatch.stream import (DegreeSequencePair, build_full_graph,
+                           half_edge_slots, pair_half_edges, pairing_stream,
+                           sample_degree_sequences, write_edge_list)
 
 from oracles import pairing_distribution
 
@@ -65,82 +65,96 @@ def test_sample_rejects_degenerate_input():
 
 
 # ---------------------------------------------------------------------------
-# half-edge pool
+# pairing engine
 
 
-def test_new_pool_repeats_vertices_per_degree():
-    pool = new_pool(DegreeSequencePair.from_degrees([2, 1], [3]))
-    assert pool.live_count == 3
-    assert sorted(pool.slots) == [0, 0, 1]
+def _arrival_slices(seq, row):
+    """Endpoints of each arrival, read off one pairing row in arrival order."""
+    ends = np.cumsum(seq.deg_v)
+    return [tuple(row[a - d:a].tolist()) for a, d in zip(ends, seq.deg_v)]
 
 
-def test_new_pool_empty():
-    pool = new_pool(DegreeSequencePair.from_degrees([0, 0], []))
-    assert pool.live_count == 0
+def test_slots_repeat_vertices_per_degree():
+    slots = half_edge_slots(DegreeSequencePair.from_degrees([2, 1], [3]))
+    assert slots.tolist() == [0, 0, 1]
 
 
-def test_new_pool_includes_balancing_vertex_on_u():
+def test_slots_of_empty_pool():
+    seq = DegreeSequencePair.from_degrees([0, 0], [])
+    assert half_edge_slots(seq).size == 0
+    assert pair_half_edges(seq, pairing_stream(0), runs=3).shape == (3, 0)
+
+
+def test_slots_include_balancing_vertex_on_u():
     seq = DegreeSequencePair.from_degrees([3], [1, 1, 1, 1, 1])
-    pool = new_pool(seq)
-    assert pool.live_count == 5
-    assert pool.remaining_degree[1] == 2  # balancing slot
+    slots = half_edge_slots(seq)
+    assert slots.size == 5 == seq.total_u_half_edges
+    assert np.count_nonzero(slots == 1) == 2  # balancing slot
 
 
-def test_pair_one_single_slot():
-    pool = new_pool(DegreeSequencePair.from_degrees([0, 0, 0, 1], [1]))
-    assert pool.pair_one(pairing_stream(0)) == 3
-    assert pool.live_count == 0
+def test_pairing_single_slot():
+    seq = DegreeSequencePair.from_degrees([0, 0, 0, 1], [1])
+    row = pair_half_edges(seq, pairing_stream(0))[0]
+    assert row.tolist() == [3]
+    assert row[int(seq.deg_v.sum()):].size == 0  # nothing left unpaired
 
 
-def test_pair_one_empty_pool_raises():
-    pool = new_pool(DegreeSequencePair.from_degrees([0], []))
-    with pytest.raises(ValueError):
-        pool.pair_one(pairing_stream(0))
+def test_pool_never_runs_short():
+    # the balancing vertex makes the offline side at least as long as the
+    # arrival side, so no arrival slice can run past the end of a row
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        deg_u = rng.integers(0, 4, size=int(rng.integers(0, 5)))
+        deg_v = rng.integers(0, 4, size=int(rng.integers(0, 5)))
+        seq = DegreeSequencePair.from_degrees(deg_u, deg_v)
+        assert seq.total_u_half_edges >= int(seq.deg_v.sum())
+    empty = DegreeSequencePair.from_degrees([0], [])
+    g = build_full_graph(empty, seed=0)
+    assert g.adjacency == () and g.leftover == ()
 
 
-def test_pair_one_uniform_over_half_edges():
+def test_first_slot_uniform_over_half_edges():
     seq_even = DegreeSequencePair.from_degrees([1, 1], [2])
     seq_heavy = DegreeSequencePair.from_degrees([3, 1], [4])
     rng = pairing_stream(123)
-    first_even = sum(new_pool(seq_even).pair_one(rng) == 0 for _ in range(100_000))
-    first_heavy = sum(new_pool(seq_heavy).pair_one(rng) == 0 for _ in range(100_000))
-    assert abs(first_even / 100_000 - 0.5) <= 0.005
-    assert abs(first_heavy / 100_000 - 0.75) <= 0.005
+    first_even = pair_half_edges(seq_even, rng, runs=100_000)[:, 0]
+    first_heavy = pair_half_edges(seq_heavy, rng, runs=100_000)[:, 0]
+    assert abs(np.mean(first_even == 0) - 0.5) <= 0.005
+    assert abs(np.mean(first_heavy == 0) - 0.75) <= 0.005
 
 
-def test_pair_one_uniformity_chi_square():
+def test_first_slot_uniformity_chi_square():
     seq = DegreeSequencePair.from_degrees([1, 1, 1, 1], [4])
-    rng = pairing_stream(7)
-    counts = np.zeros(4)
-    for _ in range(100_000):
-        counts[new_pool(seq).pair_one(rng)] += 1
+    first = pair_half_edges(seq, pairing_stream(7), runs=100_000)[:, 0]
+    counts = np.bincount(first, minlength=4)
     assert stats.chisquare(counts).pvalue > 0.001
 
 
-def test_reveal_vertex_cases():
-    seq = DegreeSequencePair.from_degrees([2], [2])
-    pool = new_pool(seq)
-    assert pool.reveal_vertex(0, pairing_stream(0)) == []
-    assert pool.reveal_vertex(2, pairing_stream(0)) == [0, 0]
-    pool2 = new_pool(DegreeSequencePair.from_degrees([1], [1]))
-    assert len(pool2.reveal_vertex(3, pairing_stream(0))) == 1  # exhaustion
+def test_arrival_slice_cases():
+    g = build_full_graph(DegreeSequencePair.from_degrees([2], [0, 2]), seed=0)
+    assert g.adjacency == ((), (0, 0))
+    # one real half-edge for three arrival half-edges: the balancing vertex
+    # (id 1) takes the other two, so only one real edge is revealed
+    g2 = build_full_graph(DegreeSequencePair.from_degrees([1], [3]), seed=0)
+    assert sorted(g2.adjacency[0]) == [0, 1, 1]
+    assert g2.real_edges() == [(0, 0)]
 
 
 def test_pool_counts_stay_consistent():
-    from collections import Counter
-
+    # every row is a permutation of the slots, so the unpaired tail after
+    # any number of pairings holds exactly the remaining degrees
     seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 200, seed=3)
-    pool = new_pool(seq)
-    rng = pairing_stream(3)
-    total = pool.live_count
-    for k in range(total):
-        pool.pair_one(rng)
-        assert pool.live_count == total - k - 1
-        assert sum(pool.remaining_degree) == pool.live_count
-        if k % 50 == 0:
-            live = Counter(pool.slots[: pool.live_count])
-            for u, d in enumerate(pool.remaining_degree):
-                assert live.get(u, 0) == d
+    slots = half_edge_slots(seq)
+    degree = np.bincount(slots, minlength=seq.n_offline + 1)
+    rows = pair_half_edges(seq, pairing_stream(3), runs=20)
+    assert rows.shape == (20, slots.size)
+    for row in rows:
+        assert np.array_equal(np.sort(row), slots)
+        for k in range(0, slots.size, 50):
+            paired = np.bincount(row[:k], minlength=seq.n_offline + 1)
+            live = np.bincount(row[k:], minlength=seq.n_offline + 1)
+            assert np.array_equal(live, degree - paired)
+            assert live.sum() == slots.size - k
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +170,10 @@ def test_single_edge_graph():
 def test_graph_matches_streaming_reveal():
     seq = sample_degree_sequences(poisson(4.0), poisson(4.0), 300, seed=11)
     g = build_full_graph(seq, seed=11)
-    pool = new_pool(seq)
-    rng = pairing_stream(11)
-    streamed = [tuple(pool.reveal_vertex(int(dv), rng)) for dv in seq.deg_v]
+    row = pair_half_edges(seq, pairing_stream(11))[0]
+    streamed = _arrival_slices(seq, row)
     assert tuple(streamed) == g.adjacency
+    assert g.leftover == tuple(row[int(seq.deg_v.sum()):].tolist())
     assert len(g.adjacency[0]) == seq.deg_v[0]
 
 
@@ -207,16 +221,14 @@ def test_half_edge_conservation_during_runs():
     pmf = regular(4)
     for seed in range(100):
         seq = sample_degree_sequences(pmf, pmf, 10_000, seed=seed)
-        pool = new_pool(seq)
-        rng = pairing_stream(seed)
-        initial = pool.live_count
-        consumed = 0
+        row = pair_half_edges(seq, pairing_stream(seed))[0]
+        revealed = np.array([len(e) for e in _arrival_slices(seq, row)])
+        assert np.array_equal(revealed, seq.deg_v)
+        live = row.size - np.cumsum(revealed)
         n = seq.n_offline
-        for k, dv in enumerate(seq.deg_v, start=1):
-            consumed += len(pool.reveal_vertex(int(dv), rng))
-            assert initial - pool.live_count == consumed
-            # fluid bookkeeping: live/N stays on the line mu_u - (k/N) mu_v
-            assert abs(pool.live_count / n - (4.0 - (k / n) * 4.0)) <= 0.05
+        k = np.arange(1, seq.n_arrivals + 1)
+        # fluid bookkeeping: live/N stays on the line mu_u - (k/N) mu_v
+        assert np.all(np.abs(live / n - (4.0 - (k / n) * 4.0)) <= 0.05)
 
 
 def test_streams_are_deterministic_and_policy_free():
