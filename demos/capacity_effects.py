@@ -26,7 +26,7 @@ def mc_mean(pmf_u, pmf_v, n, runs, capacities):
         seq = sample_degree_sequences(pmf_u, pmf_v, n, seed=seed)
         caps = (capacities_from_profile(capacities.fractions, seq.n_offline)
                 if isinstance(capacities, CapacityProfile) else capacities)
-        traj = run_policy(seq, caps, GREEDY, seed=seed, checkpoint_every=10**9)
+        traj = run_policy(seq, caps, GREEDY, seed=seed)
         vals.append(traj.final_matched / traj.capacity_total)
     return float(np.mean(vals))
 

@@ -17,8 +17,8 @@ import argparse
 import numpy as np
 
 from cmatch import (GREEDY, HIGHEST, RANKING, SMALLEST, build_full_graph,
-                    max_matching, regular, run_policy,
-                    sample_degree_sequences)
+                    regular, run_policy, sample_degree_sequences)
+from cmatch.offline import max_matching
 
 
 def main():
@@ -34,7 +34,6 @@ def main():
         seq = sample_degree_sequences(pmf, pmf, args.n, seed=seed)
         for policy in finals:
             traj = run_policy(seq, None, policy, seed=seed,
-                              checkpoint_every=10**9,
                               record_choice_events=(policy == RANKING))
             finals[policy].append(traj.final_matched / traj.capacity_total)
             if policy == RANKING:
@@ -56,8 +55,7 @@ def main():
     seq = sample_degree_sequences(pmf, pmf, args.n, seed=0)
     graph = build_full_graph(seq, seed=0)
     opt = max_matching(graph).size
-    greedy_size = run_policy(seq, None, GREEDY, seed=0,
-                             checkpoint_every=10**9).final_matched
+    greedy_size = run_policy(seq, None, GREEDY, seed=0).final_matched
     print(f"\ncompetitive ratio on seed 0: greedy {greedy_size} / "
           f"optimum {opt} = {greedy_size / opt:.5f}")
 

@@ -4,6 +4,9 @@ The package samples configuration-model graphs as an online stream, runs
 matching policies (greedy, ranking, and lookahead baselines) with optional
 per-vertex capacities, computes exact offline optima, and solves the
 fluid-limit ODEs whose curves predict greedy's asymptotic performance.
+
+The offline optima live in :mod:`cmatch.offline`, which is not imported
+here: it needs scipy.sparse, which no other module uses.
 """
 
 from .degrees import DegreePMF, dominates, explicit, from_spec, poisson, regular
@@ -19,7 +22,6 @@ from .fluid import (CapacityProfile, CharacteristicsReport, FluidCurve,
                     solve_G_capless, solve_G_fixed_capacity,
                     solve_G_general_capacity, solve_full_system,
                     sup_deviation, verify_characteristics, write_fluid_csv)
-from .offline import OptResult, max_b_matching, max_matching
 
 __all__ = [
     "DegreePMF", "regular", "poisson", "explicit", "from_spec", "dominates",
@@ -33,5 +35,4 @@ __all__ = [
     "solve_G_capless", "solve_G_fixed_capacity", "solve_G_general_capacity",
     "solve_full_system", "verify_characteristics", "closed_form_2regular",
     "closed_form_er", "compare_models", "sup_deviation", "write_fluid_csv",
-    "OptResult", "max_matching", "max_b_matching",
 ]

@@ -76,33 +76,41 @@ class ExperimentConfig:
     outputs: str = "out"
     preset: str | None = None
     step: float = 1e-4
-    checkpoint_every: int | None = None
 
     def validate(self) -> "ExperimentConfig":
-        if self.runs < 1:
-            raise ConfigError("field 'runs' must be >= 1")
-        if not self.n_values:
-            raise ConfigError("field 'n_values' must be nonempty")
-        if any(int(n) < 1 for n in self.n_values):
-            raise ConfigError("field 'n_values' entries must be >= 1")
-        if self.seed_base < 0:
-            raise ConfigError("field 'seed_base' must be >= 0")
+        """Check each field's type, then its value; a ConfigError names the
+        first bad field."""
+        def need(ok: bool, name: str, what: str) -> None:
+            if not ok:
+                raise ConfigError(f"field '{name}' must be {what}")
+
+        def is_int(x) -> bool:
+            return type(x) is int
+
+        need(isinstance(self.experiment, str), "experiment", "a string")
+        need(isinstance(self.outputs, str), "outputs", "a string")
+        need(isinstance(self.n_values, list) and len(self.n_values) > 0
+             and all(is_int(n) and n >= 1 for n in self.n_values),
+             "n_values", "a nonempty list of integers >= 1")
+        need(is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
+        need(is_int(self.seed_base) and self.seed_base >= 0,
+             "seed_base", "an integer >= 0")
+        need(is_int(self.merge_capacity) and self.merge_capacity >= 1,
+             "merge_capacity", "an integer >= 1")
+        need(type(self.step) in (int, float) and 0 < self.step <= 1e-2,
+             "step", "a number in (0, 1e-2]")
+        need(isinstance(self.policies, list), "policies", "a list")
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"field 'policies': unknown policy {p!r}")
-        for fieldname in ("model_u", "model_v"):
-            try:
-                degrees.from_spec(getattr(self, fieldname))
-            except ValueError as exc:
-                raise ConfigError(f"field '{fieldname}': {exc}") from exc
-        _parse_capacities(self.capacities)
-        if self.merge_capacity < 1:
-            raise ConfigError("field 'merge_capacity' must be >= 1")
-        if not 0 < self.step <= 1e-2:
-            raise ConfigError("field 'step' must lie in (0, 1e-2]")
-        every = self.checkpoint_every
-        if every is not None and (type(every) is not int or every < 1):
-            raise ConfigError("field 'checkpoint_every' must be an integer >= 1 or null")
+        _check_model("", self.model_u, self.model_v, self.capacities)
+        need(self.models is None or isinstance(self.models, list),
+             "models", "a list or null")
+        for i, entry in enumerate(self.models or []):
+            need(isinstance(entry, dict) and set(entry) <= set(_ENTRY_FIELDS),
+                 f"models[{i}]", f"an object with fields among {_ENTRY_FIELDS}")
+            _check_model(f"models[{i}].", *(entry.get(k, getattr(self, k))
+                                             for k in _ENTRY_FIELDS))
         return self
 
 
@@ -183,43 +191,57 @@ def load_config(config_path: str | None, preset: str | None,
 # shared helpers
 
 
-def _parse_capacities(spec: dict):
-    """Return (kind, payload): ("none", None) | ("fixed", C) |
-    ("profile", CapacityProfile)."""
+_ENTRY_FIELDS = ("model_u", "model_v", "capacities")
+
+
+def _check_model(where: str, model_u, model_v, capacities) -> None:
+    for name, spec in (("model_u", model_u), ("model_v", model_v)):
+        try:
+            degrees.from_spec(spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field '{where}{name}': {exc}") from exc
+    _parse_capacities(capacities, f"{where}capacities")
+
+
+def _parse_capacities(spec, where: str = "capacities"):
+    """Return (solve, caps_for): ``solve(pmf_u, pmf_v, step)`` gives the
+    reference fluid curve and ``caps_for(n)`` the run_policy capacities of
+    n offline vertices."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"field 'capacities' must be a dict with 'kind': {spec!r}")
+        raise ConfigError(f"field '{where}' must be a dict with 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "none":
-        return "none", None
+        return solve_G_capless, lambda n: None
     if kind == "fixed":
-        if "C" not in spec or int(spec["C"]) < 1:
-            raise ConfigError("fixed capacities need integer field 'C' >= 1")
-        return "fixed", int(spec["C"])
+        C = spec.get("C")
+        if type(C) is not int or C < 1:
+            raise ConfigError(f"field '{where}.C' must be an integer >= 1")
+        return (lambda u, v, step: solve_G_fixed_capacity(u, v, C, step)), lambda n: C
     if kind == "profile":
         if "p" not in spec:
-            raise ConfigError("capacity profile needs field 'p'")
+            raise ConfigError(f"field '{where}' needs a profile 'p'")
         try:
-            return "profile", CapacityProfile.from_fractions(spec["p"])
-        except ValueError as exc:
-            raise ConfigError(f"field 'capacities.p': {exc}") from exc
-    raise ConfigError(f"unknown capacities kind {kind!r}")
+            prof = CapacityProfile.from_fractions(spec["p"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field '{where}.p': {exc}") from exc
+        return ((lambda u, v, step: solve_G_general_capacity(u, v, prof, step)),
+                lambda n: matching.capacities_from_profile(prof.fractions, n))
+    raise ConfigError(f"field '{where}': unknown capacities kind {kind!r}")
 
 
-def _capacity_arg(kind: str, payload, n: int):
-    """Capacity argument for run_policy."""
-    if kind == "none":
-        return None
-    if kind == "fixed":
-        return payload
-    return matching.capacities_from_profile(payload.fractions, n)
-
-
-def _solve_for(pmf_u, pmf_v, kind, payload, step) -> FluidCurve:
-    if kind == "none":
-        return solve_G_capless(pmf_u, pmf_v, step)
-    if kind == "fixed":
-        return solve_G_fixed_capacity(pmf_u, pmf_v, payload, step)
-    return solve_G_general_capacity(pmf_u, pmf_v, payload, step)
+def _prepare(cfg: ExperimentConfig, entry: dict | None = None):
+    """Preamble of every command: the output directory, both degree laws,
+    the capacities of n offline vertices and the reference fluid curve, each
+    taken from ``entry`` where it names them and from ``cfg`` otherwise.
+    Returns (out_dir, pmf_u, pmf_v, caps_for, curve, endpoints)."""
+    entry = entry or {}
+    out_dir = Path(cfg.outputs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pmf_u = degrees.from_spec(entry.get("model_u", cfg.model_u))
+    pmf_v = degrees.from_spec(entry.get("model_v", cfg.model_v))
+    solve, caps_for = _parse_capacities(entry.get("capacities", cfg.capacities))
+    curve = solve(pmf_u, pmf_v, cfg.step)
+    return out_dir, pmf_u, pmf_v, caps_for, curve, {_model_key(curve): curve.endpoint}
 
 
 def _model_key(curve: FluidCurve) -> str:
@@ -264,24 +286,11 @@ def _stats_row(n: int, policy: str, fractions: list, sup_devs: list | None,
 
 def cmd_fluid(cfg: ExperimentConfig) -> dict:
     """Solve the fluid curve for each configured model and dump CSVs."""
-    out_dir = Path(cfg.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = cfg.models or [{}]
     endpoints = {}
-    for entry in entries:
-        model_u = entry.get("model_u", cfg.model_u)
-        model_v = entry.get("model_v", cfg.model_v)
-        cap_spec = entry.get("capacities", cfg.capacities)
-        try:
-            pmf_u = degrees.from_spec(model_u)
-            pmf_v = degrees.from_spec(model_v)
-            kind, payload = _parse_capacities(cap_spec)
-        except ValueError as exc:
-            raise ConfigError(f"field 'models': {exc}") from exc
-        curve = _solve_for(pmf_u, pmf_v, kind, payload, cfg.step)
-        key = _model_key(curve)
-        endpoints[key] = curve.endpoint
-        safe = key.replace("=", "-").replace("|", "_").replace(",", "-")
+    for entry in cfg.models or [{}]:
+        out_dir, _, _, _, curve, endpoint = _prepare(cfg, entry)
+        endpoints.update(endpoint)
+        safe = _model_key(curve).replace("=", "-").replace("|", "_").replace(",", "-")
         write_fluid_csv(curve, out_dir / f"fluid_{safe}.csv")
     _write_summary(out_dir, cfg.experiment, [], endpoints)
     return {"fluid_endpoints": endpoints}
@@ -289,27 +298,18 @@ def cmd_fluid(cfg: ExperimentConfig) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo runs per (n, policy) with trajectories and deviations."""
-    out_dir = Path(cfg.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pmf_u = degrees.from_spec(cfg.model_u)
-    pmf_v = degrees.from_spec(cfg.model_v)
-    kind, payload = _parse_capacities(cfg.capacities)
-    curve = _solve_for(pmf_u, pmf_v, kind, payload, cfg.step)
-    endpoints = {_model_key(curve): curve.endpoint}
-
+    out_dir, pmf_u, pmf_v, caps_for, curve, endpoints = _prepare(cfg)
     results = []
     failures = []
     for n in cfg.n_values:
-        n = int(n)
-        caps = _capacity_arg(kind, payload, n)
+        caps = caps_for(n)
         for policy in cfg.policies:
             fractions, sup_devs = [], []
             for r in range(cfg.runs):
                 seed = cfg.seed_base + r
                 try:
                     seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-                    traj = run_policy(seq, caps, policy, seed,
-                                      checkpoint_every=cfg.checkpoint_every)
+                    traj = run_policy(seq, caps, policy, seed)
                 except Exception as exc:  # keep remaining runs alive
                     failures.append({"n": n, "policy": policy, "seed": seed,
                                      "error": f"{type(exc).__name__}: {exc}"})
@@ -329,26 +329,17 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Coupled policy comparison: all policies share each run's graph."""
     if len(cfg.policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    out_dir = Path(cfg.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pmf_u = degrees.from_spec(cfg.model_u)
-    pmf_v = degrees.from_spec(cfg.model_v)
-    kind, payload = _parse_capacities(cfg.capacities)
-    curve = _solve_for(pmf_u, pmf_v, kind, payload, cfg.step)
-    endpoints = {_model_key(curve): curve.endpoint}
-
+    out_dir, pmf_u, pmf_v, caps_for, _, endpoints = _prepare(cfg)
     results = []
     comparisons = {}
     for n in cfg.n_values:
-        n = int(n)
-        caps = _capacity_arg(kind, payload, n)
+        caps = caps_for(n)
         finals = [[] for _ in cfg.policies]
         for r in range(cfg.runs):
             seed = cfg.seed_base + r
             seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
             for slot, policy in enumerate(cfg.policies):
-                traj = run_policy(seq, caps, policy, seed,
-                                  checkpoint_every=cfg.checkpoint_every)
+                traj = run_policy(seq, caps, policy, seed)
                 finals[slot].append(traj.final_matched / traj.capacity_total)
         for slot, policy in enumerate(cfg.policies):
             results.append(_stats_row(n, policy, finals[slot], None))
@@ -379,28 +370,22 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
 def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     """Merge groups of C equal-degree vertices into one vertex of capacity C
     and compare greedy's normalized performance against the baseline."""
-    c_merge = int(cfg.merge_capacity)
-    too_small = [int(n) for n in cfg.n_values if int(n) < c_merge]
+    c_merge = cfg.merge_capacity
+    too_small = [n for n in cfg.n_values if n < c_merge]
     if too_small:
         raise ConfigError(f"field 'n_values': {too_small} leave no merged vertex "
                           f"at merge_capacity {c_merge}")
-    out_dir = Path(cfg.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pmf_u = degrees.from_spec(cfg.model_u)
-    pmf_v = degrees.from_spec(cfg.model_v)
+    out_dir, pmf_u, pmf_v, _, base_curve, endpoints = _prepare(
+        cfg, {"capacities": {"kind": "none"}})
     stretched = np.zeros(pmf_u.k_max * c_merge + 1)
     stretched[:: c_merge] = pmf_u.probs
     pmf_u_merged = degrees.explicit(
         stretched, label=f"{pmf_u.label}-merged-x{c_merge}")
-
-    base_curve = solve_G_capless(pmf_u, pmf_v, cfg.step)
     merged_curve = solve_G_fixed_capacity(pmf_u_merged, pmf_v, c_merge, cfg.step)
-    endpoints = {_model_key(base_curve): base_curve.endpoint,
-                 _model_key(merged_curve): merged_curve.endpoint}
+    endpoints[_model_key(merged_curve)] = merged_curve.endpoint
 
     results = []
     for n in cfg.n_values:
-        n = int(n)
         n_merged = n // c_merge
         if n_merged * c_merge != n:
             print(f"warning: n={n} not divisible by C={c_merge}; "
@@ -409,13 +394,11 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
         for r in range(cfg.runs):
             seed = cfg.seed_base + r
             seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-            traj = run_policy(seq, None, GREEDY, seed,
-                              checkpoint_every=cfg.checkpoint_every)
+            traj = run_policy(seq, None, GREEDY, seed)
             base_fr.append(traj.final_matched / traj.capacity_total)
             base_dev.append(sup_deviation(traj, base_curve))
             seq_m = sample_degree_sequences(pmf_u_merged, pmf_v, n_merged, seed)
-            traj_m = run_policy(seq_m, c_merge, GREEDY, seed,
-                                checkpoint_every=cfg.checkpoint_every)
+            traj_m = run_policy(seq_m, c_merge, GREEDY, seed)
             merged_fr.append(traj_m.final_matched / traj_m.capacity_total)
             merged_dev.append(sup_deviation(traj_m, merged_curve))
         results.append(_stats_row(n, GREEDY, base_fr, base_dev,

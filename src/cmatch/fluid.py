@@ -98,18 +98,44 @@ class CapacityProfile:
         return cls(p=p, mean_cap=mean_cap, cdf=cdf)
 
 
-def _integrate_g(pmf_u: DegreePMF, pmf_v: DegreePMF, weights, step: float):
-    """RK4 on G'(s) = h_v(1 - Gamma(G)/mean_u) / mean_v, G(0) = 0, where
-    Gamma(g) = sum_k weights[k] g^k/k! phi_u^{(k+1)}(1 - g)."""
+def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
+    """Classical fixed-step RK4 for y' = slope(t, y) from t = 0: the states at
+    t = 0, h, ..., n_steps * h, for a float or an array y."""
+    ys = [y0]
+    y = y0
+    for i in range(n_steps):
+        t = i * h
+        k1 = slope(t, y)
+        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = slope(t + h, y + h * k3)
+        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        ys.append(y)
+    return np.array(ys)
+
+
+def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
+             step: float, capacity: str) -> FluidCurve:
+    """Solve G'(s) = h_v(1 - Gamma(G)/mean_u) / mean_v, G(0) = 0, where
+    Gamma(g) = sum_k w_k g^k/k! phi_u^{(k+1)}(1 - g) with w_k = P(c > k),
+    and return the matched fraction per unit of expected capacity,
+    1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G) with a_k = E[(c - k)^+] / E[c]."""
     if not 0.0 < step <= _MAX_G_STEP:
         raise ValueError(f"step must lie in (0, {_MAX_G_STEP}]")
     n_steps = max(1, round(1.0 / step))
     h = 1.0 / n_steps
     mu_u = pmf_u.mean
     mu_v = pmf_v.mean
-    weights = [float(w) for w in weights]
+    C = profile.max_capacity
+    weights = [1.0 - float(profile.cdf[k]) for k in range(C)]
+    coeffs = []
+    for k in range(C):
+        acc = 0.0
+        for c in range(1, C - k + 1):
+            acc += c * float(profile.p[c + k])
+        coeffs.append(acc / profile.mean_cap)
 
-    def slope(g: float) -> float:
+    def slope(s: float, g: float) -> float:
         total = 0.0
         gk = 1.0
         x = 1.0 - g
@@ -121,22 +147,7 @@ def _integrate_g(pmf_u: DegreePMF, pmf_v: DegreePMF, weights, step: float):
         q = min(max(q, 0.0), 1.0)
         return pmf_v.h_ratio(q) / mu_v
 
-    out = np.empty(n_steps + 1)
-    out[0] = 0.0
-    g = 0.0
-    for i in range(n_steps):
-        k1 = slope(g)
-        k2 = slope(g + 0.5 * h * k1)
-        k3 = slope(g + 0.5 * h * k2)
-        k4 = slope(g + h * k3)
-        g += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        out[i + 1] = g
-    grid = np.arange(n_steps + 1) / n_steps
-    return grid, out, h
-
-
-def _matched_curve(pmf_u: DegreePMF, coeffs, G: np.ndarray) -> np.ndarray:
-    """Normalized matched fraction 1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G)."""
+    G = _rk4(slope, 0.0, h, n_steps)
     x = np.clip(1.0 - G, 0.0, 1.0)
     total = np.zeros_like(G)
     gk = np.ones_like(G)
@@ -145,17 +156,17 @@ def _matched_curve(pmf_u: DegreePMF, coeffs, G: np.ndarray) -> np.ndarray:
             gk = gk * G / k
         term = pmf_u.pgf(x) if k == 0 else pmf_u.pgf_deriv(x, k)
         total += ak * gk * term
-    return 1.0 - total
+    return FluidCurve(grid=np.arange(n_steps + 1) / n_steps, G=G,
+                      matched=1.0 - total, model_u=pmf_u.label,
+                      model_v=pmf_v.label, capacity=capacity, step=h)
 
 
 def solve_G_capless(pmf_u: DegreePMF, pmf_v: DegreePMF,
                     step: float = 1e-4) -> FluidCurve:
     """Matched-fraction curve without capacities, normalized per offline
     vertex."""
-    grid, G, h = _integrate_g(pmf_u, pmf_v, [1.0], step)
-    matched = _matched_curve(pmf_u, [1.0], G)
-    return FluidCurve(grid=grid, G=G, matched=matched, model_u=pmf_u.label,
-                      model_v=pmf_v.label, capacity="none", step=h)
+    return _g_curve(pmf_u, pmf_v, CapacityProfile.from_fractions([1.0]),
+                    step, "none")
 
 
 def solve_G_fixed_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF, C: int,
@@ -164,33 +175,18 @@ def solve_G_fixed_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF, C: int,
     unit of capacity (C per vertex)."""
     if C < 1:
         raise ValueError("capacity must be >= 1")
-    weights = [1.0] * C
-    coeffs = [1.0 - k / C for k in range(C)]
-    grid, G, h = _integrate_g(pmf_u, pmf_v, weights, step)
-    matched = _matched_curve(pmf_u, coeffs, G)
-    return FluidCurve(grid=grid, G=G, matched=matched, model_u=pmf_u.label,
-                      model_v=pmf_v.label, capacity=f"fixed-{C}", step=h)
+    point_mass = CapacityProfile.from_fractions([0.0] * (C - 1) + [1.0])
+    return _g_curve(pmf_u, pmf_v, point_mass, step, f"fixed-{C}")
 
 
 def solve_G_general_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF,
                              profile: CapacityProfile,
                              step: float = 1e-4) -> FluidCurve:
     """Curve under a capacity profile, normalized per unit of expected
-    capacity. Degenerate profiles reduce exactly to the fixed-capacity and
-    capacity-less solvers."""
-    C = profile.max_capacity
-    weights = [1.0 - float(profile.cdf[k]) for k in range(C)]
-    coeffs = []
-    for k in range(C):
-        acc = 0.0
-        for c in range(1, C - k + 1):
-            acc += c * float(profile.p[c + k])
-        coeffs.append(acc / profile.mean_cap)
-    grid, G, h = _integrate_g(pmf_u, pmf_v, weights, step)
-    matched = _matched_curve(pmf_u, coeffs, G)
+    capacity. The point-mass profiles at 1 and at C are the capacity-less
+    and fixed-capacity curves."""
     label = "profile-" + ",".join(f"{v:g}" for v in profile.fractions)
-    return FluidCurve(grid=grid, G=G, matched=matched, model_u=pmf_u.label,
-                      model_v=pmf_v.label, capacity=label, step=h)
+    return _g_curve(pmf_u, pmf_v, profile, step, label)
 
 
 def write_fluid_csv(curve: FluidCurve, path) -> None:
@@ -267,47 +263,31 @@ def solve_full_system(pmf_u: DegreePMF, pmf_v: DegreePMF,
     idx = np.arange(i_top + 1, dtype=float)
     up = idx + 1.0
 
-    def drift(f: np.ndarray, m: np.ndarray):
+    def drift(t: float, y: np.ndarray) -> np.ndarray:
+        f, m = y
         denom = float(idx @ f + idx @ m)
         q = float(idx @ m) / denom
         q = min(max(q, 0.0), 1.0)
         hv = pmf_v.h_ratio(q)
-        fs = np.empty_like(f)
+        fs, ms = np.zeros_like(y)
         fs[:-1] = f[1:]
-        fs[-1] = 0.0
-        ms = np.empty_like(m)
         ms[:-1] = m[1:]
-        ms[-1] = 0.0
         df = (-idx * mu_v * f + up * (mu_v - hv) * fs) / denom
         dm = (-idx * mu_v * m + up * mu_v * ms + hv * up * fs) / denom
-        return df, dm
+        return np.array([df, dm])
 
     t_end = mu_u / mu_v - 10.0 * step
     n_steps = max(1, int(math.floor(t_end / step + 1e-9)))
-    f = pmf_u.probs.astype(float)
-    m = np.zeros_like(f)
-    free = np.empty((n_steps + 1, i_top + 1))
-    sat = np.empty_like(free)
-    free[0] = f
-    sat[0] = m
-    half = 0.5 * step
-    for j in range(n_steps):
-        k1f, k1m = drift(f, m)
-        k2f, k2m = drift(f + half * k1f, m + half * k1m)
-        k3f, k3m = drift(f + half * k2f, m + half * k2m)
-        k4f, k4m = drift(f + step * k3f, m + step * k3m)
-        f = f + (step / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        m = m + (step / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        lo = min(f.min(), m.min())
-        if lo < -1e-10:
-            raise RuntimeError(f"density went negative ({lo}) at step {j}; "
-                               "reduce the step size")
-        np.maximum(f, 0.0, out=f)
-        np.maximum(m, 0.0, out=m)
-        free[j + 1] = f
-        sat[j + 1] = m
+    y0 = np.array([pmf_u.probs, np.zeros(i_top + 1)], dtype=float)
+    states = _rk4(drift, y0, step, n_steps)
+    lows = states.min(axis=(1, 2))
+    bad = np.flatnonzero(lows < -1e-10)
+    if bad.size:
+        raise RuntimeError(f"density went negative ({lows[bad[0]]}) at step "
+                           f"{bad[0] - 1}; reduce the step size")
+    np.maximum(states, 0.0, out=states)
     t = np.arange(n_steps + 1) * step
-    return SystemTrajectory(t=t, free=free, saturated=sat)
+    return SystemTrajectory(t=t, free=states[:, 0], saturated=states[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +337,7 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
 
     n_steps = max(1, int(math.ceil(t_max / step)))
     h = t_max / n_steps
-    f_grid = np.empty(n_steps + 1)
-    f_grid[0] = 0.0
-    val = 0.0
-    for j in range(n_steps):
-        t0 = j * h
-        k1 = slope(t0, val)
-        k2 = slope(t0 + 0.5 * h, val + 0.5 * h * k1)
-        k3 = slope(t0 + 0.5 * h, val + 0.5 * h * k2)
-        k4 = slope(t0 + h, val + h * k3)
-        val += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        f_grid[j + 1] = val
+    f_grid = _rk4(slope, 0.0, h, n_steps)
     t_grid = np.arange(n_steps + 1) * h
 
     rng = np.random.default_rng(seed)

@@ -151,8 +151,8 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                bias: float = 2.0 / 3.0) -> Trajectory:
     """Run one policy over the streamed graph and record its trajectory.
 
-    Deterministic given (seq, seed). ``checkpoint_every`` controls histogram
-    snapshots (default T // 100, plus the initial and final states). With
+    Deterministic given (seq, seed). Histogram snapshots are taken at steps
+    0 and T, plus every ``checkpoint_every`` arrivals when it is given. With
     ``record_choice_events`` the run counts decisions offered exactly one
     free endpoint of pre-arrival residual degree 1 and one of degree 2, and
     how often the degree-2 endpoint won.
@@ -171,9 +171,9 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
         rng_dec.shuffle(ranks)
         ranks.append(seq.n_offline)  # balancing slot, never free anyway
 
-    every = checkpoint_every if checkpoint_every is not None else max(1, n_arr // 100)
-    if every < 1:
+    if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
+    every = checkpoint_every or max(1, n_arr)
 
     # remaining degree per offline vertex, balancing vertex last
     rem = np.bincount(half_edge_slots(seq), minlength=seq.n_offline + 1).tolist()

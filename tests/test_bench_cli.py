@@ -1,6 +1,10 @@
 """CLI driver: config handling, output contracts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -214,21 +218,54 @@ def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
     assert "checkpoint_every" in capsys.readouterr().err
 
 
-def test_capacity_merge_honours_checkpoint_every(tmp_path, monkeypatch):
+@pytest.mark.parametrize("field, value", [
+    ("n_values", ["abc"]),
+    ("n_values", [10.7]),
+    ("runs", "5"),
+    ("runs", True),
+    ("step", "x"),
+    ("capacities", {"kind": "fixed", "C": "two"}),
+    ("merge_capacity", "2"),
+    ("seed_base", "1"),
+    ("models", [3]),
+])
+def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", **{field: value}))
+    command = "fluid" if field == "models" else "simulate"
+    assert main([command, "--config", path]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatch):
     from cmatch import bench_cli
 
-    seen = []
+    steps = []
 
     def spy(*args, **kwargs):
-        seen.append(kwargs.get("checkpoint_every"))
-        return run_policy(*args, **kwargs)
+        traj = run_policy(*args, **kwargs)
+        steps.append(([cp.step for cp in traj.checkpoints], traj.n_arrivals))
+        return traj
 
     monkeypatch.setattr(bench_cli, "run_policy", spy)
-    cfg = load_config(_write_config(tmp_path, _tiny_simulate_config(
-        tmp_path / "o", n_values=[100], runs=2, checkpoint_every=7)),
-        None, None, None)
-    cmd_capacity_merge(cfg)
-    assert seen == [7] * 4
+    for command in ("simulate", "compare", "capacity-merge"):
+        path = _write_config(tmp_path, _tiny_simulate_config(
+            tmp_path / command, policies=["greedy", "ranking"], n_values=[100]),
+            name=f"{command}.json")
+        assert main([command, "--config", path]) == 0
+    # simulate and compare: 2 policies x 2 runs; capacity-merge: 2 x 2 runs
+    assert len(steps) == 12
+    assert all(seen == [0, n_arr] for seen, n_arr in steps)
+
+
+def test_cli_import_leaves_scipy_sparse_alone():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, cmatch.bench_cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_capacity_merge_n_below_capacity_is_exit_2(tmp_path, capsys):

@@ -110,6 +110,7 @@ def test_capacity_normalizations():
 def test_initial_histogram_is_degree_law():
     seq = sample_degree_sequences(regular(4), regular(4), 100, seed=2)
     traj = run_policy(seq, None, GREEDY, seed=2)
+    assert [cp.step for cp in traj.checkpoints] == [0, seq.n_arrivals]
     free, saturated, by_cap = histograms_at(traj, 0)
     assert free == {4: 100}
     assert saturated == {}
