@@ -5,7 +5,8 @@ Subcommands: ``fluid | simulate | compare | capacity-merge``. Each accepts
 ``--config <json>`` and/or ``--preset <name>`` plus ``--seed`` / ``--out``
 overrides. Run seeds are ``seed_base + run_index``, so outputs are
 reproducible byte for byte (the summary JSON carries the only timestamp).
-Exit codes: 0 success, 2 configuration error, 1 runtime failure.
+Exit codes: 0 success, 2 configuration error, 1 runtime failure (including
+any failed ``simulate`` run, after its summary is written).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import degrees, matching
+from ._io import atomic_write
 from .fluid import (CapacityProfile, FluidCurve, solve_G_capless,
                     solve_G_fixed_capacity, solve_G_general_capacity,
                     sup_deviation, write_fluid_csv)
@@ -260,7 +262,7 @@ def _write_summary(out_dir: Path, experiment: str, results: list,
     if extras:
         summary.update(extras)
     path = out_dir / "summary.json"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -443,12 +445,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        _COMMANDS[args.command](cfg)
+        outcome = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    failures = outcome.get("failures")
+    if failures:
+        print(f"runtime failure: {len(failures)} run(s) failed; first: "
+              f"{failures[0]['error']}", file=sys.stderr)
         return 1
     return 0
 

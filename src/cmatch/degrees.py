@@ -12,6 +12,7 @@ concurrent readers; random streams are never stored on the distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,15 @@ def _unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def _horner(rev_coeffs: tuple, x: float) -> float:
+    """Scalar polynomial value at x, coefficients from the highest degree
+    down; the empty tuple is the zero polynomial."""
+    acc = 0.0
+    for c in rev_coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def _unit_array(x: np.ndarray) -> np.ndarray:
     if np.any(x < -_DOMAIN_TOL) or np.any(x > 1.0 + _DOMAIN_TOL):
         raise ValueError("evaluation points outside [0, 1]")
@@ -55,9 +65,13 @@ class DegreePMF:
     mean: float
     variance: float
     label: str
-    # Tail sums P(X > j), j = 0..k_max-1: coefficients of the exact
-    # polynomial form of h(q), whose value at 1 is the mean.
-    _tail: tuple = field(repr=False)
+    # Scalar Horner coefficients, highest degree first, built once per law:
+    # the probabilities, and the tail sums P(X > j), j = 0..k_max-1, which
+    # are the coefficients of the exact polynomial form of h(q) (its value
+    # at 1 is the mean). Reversed derivative coefficients are cached per
+    # order on first use; an order above k_max gives the empty tuple.
+    _rev_probs: tuple = field(repr=False)
+    _rev_tail: tuple = field(repr=False)
     _cdf: np.ndarray = field(repr=False)
     _deriv_cache: dict = field(default_factory=dict, repr=False)
 
@@ -71,11 +85,7 @@ class DegreePMF:
         """Generating series ``sum_k p_k s^k`` for scalar or array s in [0, 1]."""
         if isinstance(s, np.ndarray):
             return np.polynomial.polynomial.polyval(_unit_array(s), self.probs)
-        s = _unit(s)
-        acc = 0.0
-        for p in self._rev_probs():
-            acc = acc * s + p
-        return acc
+        return _horner(self._rev_probs, _unit(s))
 
     def pgf_deriv(self, s, order: int = 1):
         """Order-th derivative of the generating series at s.
@@ -88,11 +98,7 @@ class DegreePMF:
             return np.zeros_like(s, dtype=float) if isinstance(s, np.ndarray) else 0.0
         if isinstance(s, np.ndarray):
             return np.polynomial.polynomial.polyval(_unit_array(s), self._deriv_coeffs(order))
-        s = _unit(s)
-        acc = 0.0
-        for c in self._deriv_rev(order):
-            acc = acc * s + c
-        return acc
+        return _horner(self._deriv_rev(order), _unit(s))
 
     def h_ratio(self, q: float) -> float:
         """Match-intensity ratio ``(1 - phi(q)) / (1 - q)``.
@@ -101,15 +107,15 @@ class DegreePMF:
         polynomial ``sum_j P(X > j) q^j`` is used instead, so h is finite
         on all of [0, 1] and ``h(1)`` equals the mean exactly.
         """
-        q = _unit(q)
+        return self._h_core(_unit(q))
+
+    def _h_core(self, q: float) -> float:
+        """:meth:`h_ratio` at a q already clamped to [0, 1], unvalidated."""
         if q == 1.0:
             return self.mean
         if q > 1.0 - _H_BAND:
-            acc = 0.0
-            for t in self._rev_tail():
-                acc = acc * q + t
-            return acc
-        return (1.0 - self.pgf(q)) / (1.0 - q)
+            return _horner(self._rev_tail, q)
+        return (1.0 - _horner(self._rev_probs, q)) / (1.0 - q)
 
     # -- sampling -----------------------------------------------------------
 
@@ -120,17 +126,7 @@ class DegreePMF:
         idx = np.minimum(idx, self.k_max)
         return int(idx) if size is None else idx.astype(np.int64)
 
-    # -- cached coefficient views (plain tuples: fast scalar Horner) --------
-
-    def _rev_probs(self) -> tuple:
-        cached = self._deriv_cache.get("rev0")
-        if cached is None:
-            cached = tuple(float(p) for p in self.probs[::-1])
-            self._deriv_cache["rev0"] = cached
-        return cached
-
-    def _rev_tail(self) -> tuple:
-        return self._tail[::-1]
+    # -- cached derivative coefficients -----------------------------------
 
     def _deriv_coeffs(self, order: int) -> np.ndarray:
         coeffs = self._deriv_cache.get(order)
@@ -144,6 +140,8 @@ class DegreePMF:
         return coeffs
 
     def _deriv_rev(self, order: int) -> tuple:
+        """Plain-float tuple of the order-th derivative's coefficients,
+        highest degree first, for :func:`_horner`."""
         key = ("rev", order)
         cached = self._deriv_cache.get(key)
         if cached is None:
@@ -169,11 +167,13 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     ks = np.arange(len(probs))
     mean = float(np.dot(ks, probs))
     variance = float(np.dot(ks * ks, probs) - mean * mean)
-    tail = tuple(float(t) for t in (1.0 - np.cumsum(probs))[:-1]) if len(probs) > 1 else ()
     cdf = np.cumsum(probs)
+    tail = 1.0 - cdf[:-1]
     probs.setflags(write=False)
     return DegreePMF(probs=probs, mean=mean, variance=max(variance, 0.0),
-                     label=label, _tail=tail, _cdf=cdf)
+                     label=label,
+                     _rev_probs=tuple(float(p) for p in probs[::-1]),
+                     _rev_tail=tuple(float(t) for t in tail[::-1]), _cdf=cdf)
 
 
 def regular(d: int) -> DegreePMF:
@@ -228,18 +228,38 @@ def from_spec(spec: dict) -> DegreePMF:
         raise ValueError(f"distribution spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "regular":
-        if "d" not in spec:
-            raise ValueError("regular spec needs field 'd'")
-        return regular(int(spec["d"]))
+        d = _spec_field(spec, "d", _is_int, "an integer")
+        return regular(int(d))
     if kind == "poisson":
-        if "c" not in spec:
-            raise ValueError("poisson spec needs field 'c'")
-        return poisson(float(spec["c"]))
+        c = _spec_field(spec, "c", lambda c: _is_real(c) and math.isfinite(c),
+                        "a finite number")
+        return poisson(float(c))
     if kind == "explicit":
-        if "probs" not in spec:
-            raise ValueError("explicit spec needs field 'probs'")
-        return explicit(spec["probs"])
+        probs = _spec_field(spec, "probs",
+                            lambda ps: isinstance(ps, list) and all(map(_is_real, ps)),
+                            "a list of numbers")
+        return explicit(probs)
     raise ValueError(f"unknown distribution kind {kind!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _spec_field(spec: dict, name: str, ok, what: str):
+    """The spec's field ``name``, which must satisfy ``ok``; ``bool`` is
+    never a number here."""
+    if name not in spec:
+        raise ValueError(f"{spec['kind']} spec needs field '{name}'")
+    value = spec[name]
+    if not ok(value):
+        raise ValueError(f"{spec['kind']} spec field '{name}' must be {what}, "
+                         f"not {value!r}")
+    return value
 
 
 def dominates(pmf_a: DegreePMF, pmf_b: DegreePMF, grid_size: int = 1000) -> bool:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degrees import DegreePMF, dominates
+from ._io import atomic_write
+from .degrees import DegreePMF, _horner, _unit, dominates
 
 _MAX_G_STEP = 1e-2
 _MAX_SYSTEM_STEP = 1e-3
@@ -135,17 +136,22 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
             acc += c * float(profile.p[c + k])
         coeffs.append(acc / profile.mean_cap)
 
+    # Bound once per solve: each stage then makes one domain check and one
+    # Horner pass per capacity level, with no method dispatch.
+    terms = [(w, pmf_u._deriv_rev(k + 1)) for k, w in enumerate(weights)]
+    h_v = pmf_v._h_core
+
     def slope(s: float, g: float) -> float:
         total = 0.0
         gk = 1.0
-        x = 1.0 - g
-        for k, w in enumerate(weights):
+        x = _unit(1.0 - g)
+        for k, (w, rev) in enumerate(terms):
             if k:
                 gk *= g / k
-            total += w * gk * pmf_u.pgf_deriv(x, k + 1)
+            total += w * gk * _horner(rev, x)
         q = 1.0 - total / mu_u
         q = min(max(q, 0.0), 1.0)
-        return pmf_v.h_ratio(q) / mu_v
+        return h_v(q) / mu_v
 
     G = _rk4(slope, 0.0, h, n_steps)
     x = np.clip(1.0 - G, 0.0, 1.0)
@@ -191,7 +197,7 @@ def solve_G_general_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF,
 
 def write_fluid_csv(curve: FluidCurve, path) -> None:
     """CSV dump: a model-echo comment line, then s,G,matched rows."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# model_u={curve.model_u} model_v={curve.model_v} "
                  f"capacity={curve.capacity} step={curve.step:.12g}\n")
         fh.write("s,G,matched\n")
@@ -330,10 +336,13 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     tau_end = float(sys_traj.t[-1])
     t_max = -math.log(1.0 - tau_end * mu_v / mu_u) / mu_v
 
+    rev_u1 = pmf_u._deriv_rev(1)
+    h_v = pmf_v._h_core
+
     def slope(t: float, F: float) -> float:
-        q = 1.0 - pmf_u.pgf_deriv(1.0 - F, 1) / mu_u
+        q = 1.0 - _horner(rev_u1, _unit(1.0 - F)) / mu_u
         q = min(max(q, 0.0), 1.0)
-        return math.exp(-mu_v * t) * pmf_v.h_ratio(q)
+        return math.exp(-mu_v * t) * h_v(q)
 
     n_steps = max(1, int(math.ceil(t_max / step)))
     h = t_max / n_steps

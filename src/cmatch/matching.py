@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import atomic_write
 from .stream import (DegreeSequencePair, decision_stream, half_edge_slots,
                      pair_half_edges, pairing_stream)
 
@@ -322,13 +323,13 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
 def write_trajectory_csv(traj: Trajectory, path, hist_path=None) -> None:
     """Write the per-step matching size; optionally a histogram sidecar with
     one row per (checkpoint, kind, degree, capacity) cell."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,matched\n")
         for k, m in enumerate(traj.matched_at_step):
             fh.write(f"{k},{m}\n")
     if hist_path is None:
         return
-    with open(hist_path, "w") as fh:
+    with atomic_write(hist_path) as fh:
         fh.write("step,kind,degree,capacity,count\n")
         for cp in traj.checkpoints:
             for d in sorted(cp.free):

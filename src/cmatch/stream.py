@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import atomic_write
 from .degrees import DegreePMF
 
 BALANCE_NONE = "none"
@@ -187,7 +188,7 @@ def build_full_graph(seq: DegreeSequencePair, seed: int,
 
 def write_edge_list(graph: Multigraph, path) -> None:
     """Dump the realized graph: header "N T", then one "v u flag" per line."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{graph.n_offline} {graph.n_arrivals}\n")
         for v, u, flag in graph.edge_triples():
             fh.write(f"{v} {u} {flag}\n")

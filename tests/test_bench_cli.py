@@ -133,6 +133,62 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     assert sa == sb
 
 
+class _FailingFile:
+    """Text file whose write raises after a few successful calls."""
+
+    def __init__(self, fh, budget=3):
+        self.fh = fh
+        self.budget = budget
+
+    def write(self, text):
+        if self.budget == 0:
+            raise OSError("disk full")
+        self.budget -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("writer", ["summary", "fluid", "trajectory"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
+    from cmatch import _io, bench_cli
+    from cmatch.degrees import regular
+    from cmatch.fluid import solve_G_capless, write_fluid_csv
+    from cmatch.matching import write_trajectory_csv
+    from cmatch.stream import sample_degree_sequences
+
+    pmf = regular(2)
+    write = {
+        "summary": lambda path: bench_cli._write_summary(
+            path.parent, "x", [], {"k": 1.0}),
+        "fluid": lambda path: write_fluid_csv(
+            solve_G_capless(pmf, pmf, 1e-2), path),
+        "trajectory": lambda path: write_trajectory_csv(run_policy(
+            sample_degree_sequences(pmf, pmf, 20, 0), None, "greedy", 0), path),
+    }[writer]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / ("summary.json" if writer == "summary" else "out.csv")
+    if existing:
+        path.write_text("previous\n")
+    monkeypatch.setattr(_io, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert [p.name for p in out.iterdir()] == ([path.name] if existing else [])
+    if existing:
+        assert path.read_text() == "previous\n"
+    monkeypatch.undo()
+    write(path)
+    assert [p.name for p in out.iterdir()] == [path.name]
+    assert path.read_text() != "previous\n"
+
+
 def test_cmd_compare_couples_identical_policies(tmp_path):
     cfg = load_config(_write_config(tmp_path, _tiny_simulate_config(
         tmp_path / "o", policies=["greedy", "greedy"], runs=3)), None, None, None)
@@ -280,6 +336,37 @@ def test_main_runtime_failure_is_exit_1(tmp_path):
     blocker.write_text("not a directory")
     path = _write_config(tmp_path, _tiny_simulate_config(blocker))
     assert main(["simulate", "--config", path]) == 1
+
+
+def test_failed_simulate_runs_are_exit_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        out, model_u={"kind": "regular", "d": 4},
+        model_v={"kind": "regular", "d": 4}, n_values=[50],
+        policies=["biased_greedy"]))
+    assert main(["simulate", "--config", path]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"] == []
+    assert len(summary["failures"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "2 run(s) failed" in err[0]
+    assert summary["failures"][0]["error"] in err[0]
+
+
+@pytest.mark.parametrize("side, spec", [
+    ("model_u", {"kind": "regular", "d": 2.5}),
+    ("model_u", {"kind": "regular", "d": "3"}),
+    ("model_v", {"kind": "regular", "d": True}),
+    ("model_u", {"kind": "poisson", "c": "4"}),
+    ("model_v", {"kind": "poisson", "c": True}),
+    ("model_u", {"kind": "explicit", "probs": "0.5,0.5"}),
+])
+def test_mistyped_degree_spec_is_exit_2(tmp_path, capsys, side, spec):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", **{side: spec}))
+    assert main(["simulate", "--config", path]) == 2
+    assert side in capsys.readouterr().err
 
 
 def test_main_usage_error_is_exit_2():

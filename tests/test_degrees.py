@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
-from cmatch.degrees import dominates, explicit, from_spec, poisson, regular
+from cmatch.degrees import _H_BAND, dominates, explicit, from_spec, poisson, regular
 
 
 def pmf_zoo():
@@ -193,6 +196,52 @@ def test_h_ratio_forms_agree_at_the_seam(pmf):
     q = 1.0 - 0.5e-7
     rational = (1.0 - pmf.pgf(q)) / (1.0 - q)
     assert abs(pmf.h_ratio(q) - rational) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# scalar Horner core against the array path
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def explicit_laws(draw):
+    """Explicit laws with k_max <= 30."""
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=31)
+                      .filter(lambda w: sum(w) > 1e-3)))
+    return explicit(w / w.sum())
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@_PROPERTY
+@given(explicit_laws(), st.floats(0.0, 1.0))
+def test_scalar_pgf_and_derivs_match_array_path(pmf, x):
+    assert _close(pmf.pgf(x), polyval(x, pmf.probs))
+    for order in (1, 2, 3):
+        ref = (polyval(x, pmf._deriv_coeffs(order))
+               if order <= pmf.k_max else 0.0)
+        assert _close(pmf.pgf_deriv(x, order), ref)
+
+
+@_PROPERTY
+@given(explicit_laws(), st.floats(0.0, 1.0 - 2 * _H_BAND),
+       st.floats(1.0 - _H_BAND / 2, 1.0, exclude_max=True))
+def test_scalar_h_ratio_matches_array_path_on_both_sides_of_the_band(pmf, below, inside):
+    # h(1) is the mean by definition; test_h_ratio_at_one_is_mean covers it
+    assert _close(pmf.h_ratio(below), (1.0 - polyval(below, pmf.probs)) / (1.0 - below))
+    tail = 1.0 - np.cumsum(pmf.probs)[:-1]
+    assert _close(pmf.h_ratio(inside), polyval(inside, tail) if len(tail) else 0.0)
+
+
+def test_scalar_core_still_validates_public_calls():
+    with pytest.raises(ValueError):
+        poisson(4.0).pgf_deriv(1.5, 1)
+    with pytest.raises(ValueError):
+        poisson(4.0).h_ratio(-0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,74 @@ def test_mixed_profile_against_monte_carlo():
 
 
 # ---------------------------------------------------------------------------
+# slopes bound once per solve
+
+
+def _reference_curve(pmf_u, pmf_v, fractions, step):
+    """G and matched as a solve through the public, validated pgf_deriv and
+    h_ratio calls computes them: the same floating-point operations, in the
+    same order, as the solvers' bound slopes."""
+    prof = CapacityProfile.from_fractions(fractions)
+    C = prof.max_capacity
+    weights = [1.0 - float(prof.cdf[k]) for k in range(C)]
+    coeffs = []
+    for k in range(C):
+        acc = 0.0
+        for c in range(1, C - k + 1):
+            acc += c * float(prof.p[c + k])
+        coeffs.append(acc / prof.mean_cap)
+
+    def slope(g):
+        total = 0.0
+        gk = 1.0
+        for k, w in enumerate(weights):
+            if k:
+                gk *= g / k
+            total += w * gk * pmf_u.pgf_deriv(1.0 - g, k + 1)
+        q = min(max(1.0 - total / pmf_u.mean, 0.0), 1.0)
+        return pmf_v.h_ratio(q) / pmf_v.mean
+
+    n_steps = round(1.0 / step)
+    h = 1.0 / n_steps
+    g = 0.0
+    G = [g]
+    for _ in range(n_steps):
+        k1 = slope(g)
+        k2 = slope(g + 0.5 * h * k1)
+        k3 = slope(g + 0.5 * h * k2)
+        k4 = slope(g + h * k3)
+        g = g + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        G.append(g)
+    G = np.array(G)
+    x = np.clip(1.0 - G, 0.0, 1.0)
+    total = np.zeros_like(G)
+    gk = np.ones_like(G)
+    for k, ak in enumerate(coeffs):
+        if k:
+            gk = gk * G / k
+        total += ak * gk * (pmf_u.pgf(x) if k == 0 else pmf_u.pgf_deriv(x, k))
+    return G, 1.0 - total
+
+
+@pytest.mark.parametrize("solve, fractions", [
+    (lambda u, v: solve_G_capless(u, v, 1e-2), [1.0]),
+    (lambda u, v: solve_G_fixed_capacity(u, v, 3, 1e-2), [0.0, 0.0, 1.0]),
+    (lambda u, v: solve_G_general_capacity(
+        u, v, CapacityProfile.from_fractions([0.5, 0.3, 0.2]), 1e-2),
+     [0.5, 0.3, 0.2]),
+], ids=["capless", "fixed-3", "profile"])
+@pytest.mark.parametrize("pmf_u, pmf_v", [
+    (regular(4), regular(4)), (poisson(4.0), poisson(4.0)),
+    (poisson(4.0), regular(4)),
+], ids=["regular-4", "poisson-4", "poisson-4/regular-4"])
+def test_bound_slopes_are_bit_identical(solve, fractions, pmf_u, pmf_v):
+    curve = solve(pmf_u, pmf_v)
+    G, matched = _reference_curve(pmf_u, pmf_v, fractions, 1e-2)
+    assert np.array_equal(curve.G, G)
+    assert np.array_equal(curve.matched, matched)
+
+
+# ---------------------------------------------------------------------------
 # full density system
 
 
