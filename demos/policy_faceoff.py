@@ -17,7 +17,8 @@ import argparse
 import numpy as np
 
 from cmatch import (GREEDY, HIGHEST, RANKING, SMALLEST, build_full_graph,
-                    regular, run_policy, sample_degree_sequences)
+                    choice_events, regular, run_policy,
+                    sample_degree_sequences)
 from cmatch.offline import max_matching
 
 
@@ -33,12 +34,12 @@ def main():
     for seed in range(args.runs):
         seq = sample_degree_sequences(pmf, pmf, args.n, seed=seed)
         for policy in finals:
-            traj = run_policy(seq, None, policy, seed=seed,
-                              record_choice_events=(policy == RANKING))
+            traj = run_policy(seq, None, policy, seed=seed)
             finals[policy].append(traj.final_matched / traj.capacity_total)
             if policy == RANKING:
-                events += traj.choice_events[0]
-                deg2 += traj.choice_events[1]
+                seen, won = choice_events(traj)
+                events += seen
+                deg2 += won
 
     print(f"2-regular, n={args.n}, {args.runs} coupled seeds "
           "(same realized graph per seed):")

@@ -14,7 +14,7 @@ from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
                      pair_half_edges, sample_degree_sequences, write_edge_list)
 from .matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                        SMALLEST, Trajectory, capacities_from_profile,
-                       final_matched_counts, histograms_at,
+                       choice_events, final_matched_counts, histograms_at,
                        matched_fraction_at, run_policy, write_trajectory_csv)
 from .fluid import (CapacityProfile, CharacteristicsReport, FluidCurve,
                     ModelComparison, SystemState, SystemTrajectory,
@@ -29,7 +29,8 @@ __all__ = [
     "pair_half_edges", "build_full_graph", "write_edge_list",
     "GREEDY", "RANKING", "SMALLEST", "HIGHEST", "BIASED_GREEDY", "POLICIES",
     "Trajectory", "run_policy", "final_matched_counts", "matched_fraction_at",
-    "histograms_at", "capacities_from_profile", "write_trajectory_csv",
+    "histograms_at", "choice_events", "capacities_from_profile",
+    "write_trajectory_csv",
     "FluidCurve", "CapacityProfile", "SystemState", "SystemTrajectory",
     "CharacteristicsReport", "ModelComparison",
     "solve_G_capless", "solve_G_fixed_capacity", "solve_G_general_capacity",

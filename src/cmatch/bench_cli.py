@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -268,6 +269,11 @@ def _write_summary(out_dir: Path, experiment: str, results: list,
     return path
 
 
+def sign_test_p(wins: int, trials: int) -> float:
+    """Exact one-sided sign test: P(X >= wins) for X ~ Binomial(trials, 1/2)."""
+    return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2 ** trials
+
+
 def _stats_row(n: int, policy: str, fractions: list, sup_devs: list | None,
                **extra) -> dict:
     row = {
@@ -355,14 +361,9 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
             diffs = [a - b for a, b in zip(g, r_)]
             wins = sum(1 for d in diffs if d > 0)
             ties = sum(1 for d in diffs if d == 0)
-            decisive = len(diffs) - ties
-            from scipy import stats  # only the sign test needs it; slow to import
-            p_value = (stats.binomtest(wins, decisive, 0.5,
-                                       alternative="greater").pvalue
-                       if decisive else 1.0)
-            block.update(greedy_minus_ranking=diffs, greedy_wins=wins,
-                         ties=ties,
-                         sign_test_p_greedy_gt_ranking=float(p_value))
+            block.update(greedy_minus_ranking=diffs, greedy_wins=wins, ties=ties,
+                         sign_test_p_greedy_gt_ranking=sign_test_p(
+                             wins, len(diffs) - ties))
         comparisons[str(n)] = block
     extras = {"comparisons": comparisons} if comparisons else None
     _write_summary(out_dir, cfg.experiment, results, endpoints, extras)

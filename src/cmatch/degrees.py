@@ -168,7 +168,7 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     mean = float(np.dot(ks, probs))
     variance = float(np.dot(ks * ks, probs) - mean * mean)
     cdf = np.cumsum(probs)
-    tail = 1.0 - cdf[:-1]
+    tail = np.cumsum(probs[::-1])[::-1][1:]  # P(X > j), summed top-down
     probs.setflags(write=False)
     return DegreePMF(probs=probs, mean=mean, variance=max(variance, 0.0),
                      label=label,

@@ -4,9 +4,10 @@ Each run owns two independent random streams derived from its seed: the
 pairing stream draws the half-edge permutation that is the graph, the
 decision stream breaks policy ties. Policies therefore act on the identical
 realized multigraph for a fixed (sequence, seed), which sharpens paired
-comparisons. A run reads its permutation one arrival slice at a time; the
-bulk Monte Carlo path :func:`final_matched_counts` runs greedy over many
-permutations at once, vectorized across runs.
+comparisons. A run reads its permutation one arrival slice at a time and
+records only the endpoint each arrival chose; histograms and choice events
+are derived from that record. The bulk Monte Carlo path
+:func:`final_matched_counts` runs greedy over many permutations at once.
 
 Policies:
 
@@ -25,13 +26,14 @@ Policies:
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import atomic_write
-from .stream import (DegreeSequencePair, decision_stream, half_edge_slots,
-                     pair_half_edges, pairing_stream)
+from .stream import (DegreeSequencePair, decision_stream, pair_half_edges,
+                     pairing_stream)
 
 GREEDY = "greedy"
 RANKING = "ranking"
@@ -45,48 +47,57 @@ POLICIES = (GREEDY, RANKING, SMALLEST, HIGHEST, BIASED_GREEDY)
 _BLOCK_SLOTS = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class Checkpoint:
-    """State snapshot after ``step`` arrivals (real offline vertices only).
-
-    ``free`` maps residual degree to the count of vertices with spare
-    capacity, ``saturated`` likewise for exhausted vertices, and
-    ``free_by_capacity`` maps (residual degree, capacity left) pairs.
-    """
-
-    step: int
-    free: dict
-    saturated: dict
-    free_by_capacity: dict
+# The histograms of :func:`histograms_at` after ``step`` arrivals.
+Checkpoint = namedtuple("Checkpoint", "step free saturated free_by_capacity")
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Full record of one policy run.
+    """Record of one policy run: the pairing row it read and its decisions.
 
-    ``matched_at_step[k]`` is the matching size after k arrivals;
-    ``capacity_total`` is the normalization denominator (sum of real
-    capacities: N without capacities, C*N with a uniform capacity, and
-    N*E[c] under a capacity profile).
+    ``chosen[t]`` is the offline vertex arrival t was matched to (-1 for
+    none) and ``caps`` the initial capacities of the real offline vertices.
+    The rest is derived: ``matched_at_step[k]`` is the matching size after k
+    arrivals, ``checkpoints`` the histograms at ``report_steps``, and
+    :func:`histograms_at` and :func:`choice_events` read the record.
+    ``capacity_total``, the normalization denominator, is the sum of the
+    real capacities (N, C*N or N*E[c]).
     """
 
+    seq: DegreeSequencePair
+    row: np.ndarray
+    chosen: np.ndarray
+    caps: np.ndarray
+    report_steps: tuple
     matched_at_step: np.ndarray
-    checkpoints: tuple
     policy: str
     seed: int
-    n_offline: int
-    n_arrivals: int
-    capacity_total: int
-    choice_events: tuple | None = None
+
+    @property
+    def n_offline(self) -> int:
+        return self.seq.n_offline
+
+    @property
+    def n_arrivals(self) -> int:
+        return self.seq.n_arrivals
+
+    @property
+    def capacity_total(self) -> int:
+        return int(self.caps.sum())
 
     @property
     def final_matched(self) -> int:
         return int(self.matched_at_step[-1])
 
+    @property
+    def checkpoints(self) -> tuple:
+        """Histograms at the report steps, derived from the record."""
+        return tuple(Checkpoint(step, *histograms_at(self, step))
+                     for step in self.report_steps)
+
 
 def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
-    """Capacity-left array of length N+1; the balancing slot is never
-    matchable."""
+    """Capacity left per vertex; the balancing vertex, last, has none."""
     n = seq.n_offline
     if capacities is None:
         caps = [1] * n
@@ -120,89 +131,56 @@ def capacities_from_profile(fractions, n: int) -> np.ndarray:
     return caps
 
 
-def _snapshot(rem: list, caps: list, step: int) -> Checkpoint:
-    """Histograms of the real offline vertices; ``rem`` and ``caps`` carry
-    the balancing vertex as their last entry, which is skipped."""
-    free: dict = {}
-    saturated: dict = {}
-    by_cap: dict = {}
-    for d, c in zip(rem[:-1], caps):
-        if c > 0:
-            free[d] = free.get(d, 0) + 1
-            key = (d, c)
-            by_cap[key] = by_cap.get(key, 0) + 1
-        else:
-            saturated[d] = saturated.get(d, 0) + 1
-    return Checkpoint(step=step, free=free, saturated=saturated,
-                      free_by_capacity=by_cap)
-
-
-def _pre_arrival_residuals(endpoints: list, rem: list) -> dict:
-    """Residual degree of each distinct endpoint before this arrival paired
-    its half-edges."""
-    mult: dict = {}
-    for u in endpoints:
-        mult[u] = mult.get(u, 0) + 1
-    return {u: rem[u] + k for u, k in mult.items()}
-
-
 def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                seed: int = 0, checkpoint_every: int | None = None,
-               record_choice_events: bool = False,
                bias: float = 2.0 / 3.0) -> Trajectory:
-    """Run one policy over the streamed graph and record its trajectory.
+    """Run one policy over the streamed graph and record its decisions.
 
-    Deterministic given (seq, seed). Histogram snapshots are taken at steps
-    0 and T, plus every ``checkpoint_every`` arrivals when it is given. With
-    ``record_choice_events`` the run counts decisions offered exactly one
-    free endpoint of pre-arrival residual degree 1 and one of degree 2, and
-    how often the degree-2 endpoint won.
+    Deterministic given (seq, seed). The run keeps only its pairing row and
+    the endpoint each arrival chose (see :class:`Trajectory`).
+    ``checkpoint_every`` only picks the report steps of ``checkpoints``: 0,
+    every ``checkpoint_every`` arrivals, and T (by default 0 and T).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    row = pair_half_edges(seq, pairing_stream(seed))[0].tolist()
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    row = pair_half_edges(seq, pairing_stream(seed))[0]
     rng_dec = decision_stream(seed)
     caps = _init_capacities(seq, capacities)
-    capacity_total = sum(caps[: seq.n_offline])
-    n_arr = seq.n_arrivals
+    initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
 
     ranks = None
     if policy == RANKING:
         ranks = list(range(seq.n_offline))
-        rng_dec.shuffle(ranks)
-        ranks.append(seq.n_offline)  # balancing slot, never free anyway
+        rng_dec.shuffle(ranks)  # real vertices only; the balancing one is never free
 
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    every = checkpoint_every or max(1, n_arr)
-
-    # remaining degree per offline vertex, balancing vertex last
-    rem = np.bincount(half_edge_slots(seq), minlength=seq.n_offline + 1).tolist()
-    matched_at = np.zeros(n_arr + 1, dtype=np.int64)
-    checkpoints = [_snapshot(rem, caps, 0)]
-    events = [0, 0] if record_choice_events else None
-    matched = 0
+    # residual degree per offline vertex (balancing vertex last), kept only
+    # by the policies that read it
+    rem = (np.bincount(row, minlength=seq.n_offline + 1).tolist()
+           if policy in (SMALLEST, HIGHEST, BIASED_GREEDY) else None)
+    ends = row.tolist()
+    chosen = []
     off = 0
-
-    for t, dv in enumerate(seq.deg_v.tolist(), start=1):
-        endpoints = row[off:off + dv]
+    for dv in seq.deg_v.tolist():
+        endpoints = ends[off:off + dv]
         off += dv
-        for u in endpoints:
-            rem[u] -= 1
-        chosen = _decide(policy, endpoints, caps, rem, ranks, rng_dec, bias)
-        if events is not None:
-            _record_event(events, endpoints, caps, rem, chosen)
-        if chosen >= 0:
-            caps[chosen] -= 1
-            matched += 1
-        matched_at[t] = matched
-        if t % every == 0 or t == n_arr:
-            checkpoints.append(_snapshot(rem, caps, t))
+        if rem is not None:
+            for u in endpoints:
+                rem[u] -= 1
+        pick = _decide(policy, endpoints, caps, rem, ranks, rng_dec, bias)
+        if pick >= 0:
+            caps[pick] -= 1
+        chosen.append(pick)
 
-    return Trajectory(matched_at_step=matched_at, checkpoints=tuple(checkpoints),
-                      policy=policy, seed=seed, n_offline=seq.n_offline,
-                      n_arrivals=n_arr, capacity_total=capacity_total,
-                      choice_events=tuple(events) if events is not None else None)
+    chosen = np.array(chosen, dtype=np.int64)
+    n_arr = seq.n_arrivals
+    every = checkpoint_every or max(1, n_arr)
+    steps = sorted(set(range(0, n_arr + 1, every)) | {n_arr})
+    matched_at = np.concatenate(([0], np.cumsum(chosen >= 0, dtype=np.int64)))
+    return Trajectory(seq=seq, row=row, chosen=chosen, caps=initial_caps,
+                      report_steps=tuple(steps), matched_at_step=matched_at,
+                      policy=policy, seed=seed)
 
 
 def _decide(policy: str, endpoints: list, caps: list, rem: list,
@@ -214,12 +192,7 @@ def _decide(policy: str, endpoints: list, caps: list, rem: list,
                 return u
         return -1
 
-    free = []
-    seen = set()
-    for u in endpoints:
-        if caps[u] > 0 and u not in seen:
-            seen.add(u)
-            free.append(u)
+    free = [u for u in dict.fromkeys(endpoints) if caps[u] > 0]
     if not free:
         return -1
 
@@ -230,44 +203,22 @@ def _decide(policy: str, endpoints: list, caps: list, rem: list,
         vals = [rem[u] for u in free]
         best = min(vals) if policy == SMALLEST else max(vals)
         ties = [u for u, v in zip(free, vals) if v == best]
-        if len(ties) == 1:
-            return ties[0]
-        return ties[int(rng_dec.random() * len(ties))]
-
-    # biased greedy, defined for residual degrees {1, 2} only
-    pre = _pre_arrival_residuals(endpoints, rem)
-    deg1 = [u for u in free if pre[u] == 1]
-    deg2 = [u for u in free if pre[u] == 2]
-    if len(deg1) + len(deg2) != len(free):
-        raise ValueError("biased_greedy needs free endpoints of residual degree 1 or 2")
-    if deg1 and deg2:
-        side = deg2 if rng_dec.random() < bias else deg1
     else:
-        side = deg2 or deg1
-    if len(side) == 1:
-        return side[0]
-    return side[int(rng_dec.random() * len(side))]
-
-
-def _record_event(events: list, endpoints: list, caps: list, rem: list,
-                  chosen: int) -> None:
-    """Count {degree-1, degree-2} choice events and degree-2 wins.
-
-    Called before the chosen endpoint's capacity is decremented, so the
-    free set reflects the state the decision saw.
-    """
-    pre = _pre_arrival_residuals(endpoints, rem)
-    free = [u for u in pre if caps[u] > 0]
-    if len(free) != 2:
-        return
-    a, b = free
-    da, db = pre[a], pre[b]
-    if {da, db} != {1, 2}:
-        return
-    events[0] += 1
-    deg2 = a if da == 2 else b
-    if chosen == deg2:
-        events[1] += 1
+        # biased greedy, defined for residual degrees {1, 2} only; residuals
+        # are taken before this arrival paired its half-edges
+        pre = {u: rem[u] + endpoints.count(u) for u in free}
+        deg1 = [u for u in free if pre[u] == 1]
+        deg2 = [u for u in free if pre[u] == 2]
+        if len(deg1) + len(deg2) != len(free):
+            raise ValueError("biased_greedy needs free endpoints of residual degree 1 or 2")
+        if deg1 and deg2:
+            ties = deg2 if rng_dec.random() < bias else deg1
+        else:
+            ties = deg2 or deg1
+    # uniform among the ties; a lone candidate draws nothing
+    if len(ties) == 1:
+        return ties[0]
+    return ties[int(rng_dec.random() * len(ties))]
 
 
 def final_matched_counts(seq: DegreeSequencePair, capacities=None,
@@ -313,11 +264,54 @@ def matched_fraction_at(traj: Trajectory, s: float) -> float:
 
 
 def histograms_at(traj: Trajectory, step: int) -> tuple:
-    """Snapshot (free, saturated, free-by-capacity) recorded at ``step``."""
-    for cp in traj.checkpoints:
-        if cp.step == step:
-            return cp.free, cp.saturated, cp.free_by_capacity
-    raise KeyError(f"no checkpoint recorded at step {step}")
+    """Histograms (free, saturated, free-by-capacity) after ``step``
+    arrivals, for any step in 0..T, derived from the run's record.
+
+    ``free`` maps residual degree to the count of real offline vertices
+    with spare capacity, ``saturated`` likewise for exhausted vertices, and
+    ``free_by_capacity`` maps (residual degree, capacity left) pairs.
+    """
+    if step not in range(traj.n_arrivals + 1):
+        raise KeyError(f"step {step} lies outside 0..{traj.n_arrivals}")
+    n = traj.n_offline
+    paired = int(traj.seq.deg_v[:step].sum())
+    rem = traj.seq.deg_u - np.bincount(traj.row[:paired], minlength=n + 1)[:n]
+    picks = traj.chosen[:step]
+    left = traj.caps - np.bincount(picks[picks >= 0], minlength=n)
+    spare = left > 0
+    free_rem = rem[spare].tolist()
+    return (dict(Counter(free_rem)), dict(Counter(rem[~spare].tolist())),
+            dict(Counter(zip(free_rem, left[spare].tolist()))))
+
+
+def choice_events(traj: Trajectory) -> tuple:
+    """Count (events, degree2_wins) from the run's record.
+
+    An event is an arrival offered exactly two distinct free endpoints
+    whose residual degrees before this arrival paired its half-edges are 1
+    and 2; a win is an event where the degree-2 endpoint was chosen.
+    """
+    arrival = np.repeat(np.arange(traj.n_arrivals), traj.seq.deg_v)
+    # paired half-edges grouped by vertex, in pairing order within a vertex
+    order = np.argsort(traj.row[:arrival.size], kind="stable")
+    u, t = traj.row[order], arrival[order]
+    start = np.searchsorted(u, u)
+    earlier = np.arange(u.size) - start  # the vertex's half-edges paired before
+    # a vertex's first half-edge in an arrival's slice stands for it in that
+    # decision, which saw it free unless earlier picks used up its capacity
+    first = earlier == 0
+    first[1:] |= t[1:] != t[:-1]
+    picked = first & (traj.chosen[t] == u)
+    picks_before = np.cumsum(picked) - picked
+    live = first & (picks_before - picks_before[start] < np.append(traj.caps, 0)[u])
+    t, u = t[live], u[live]
+    pre = traj.seq.deg_u[u] - earlier[live]  # residual degree before the arrival
+    offered = np.bincount(t, minlength=traj.n_arrivals)
+    pre_sum = np.bincount(t, weights=pre, minlength=traj.n_arrivals)
+    # residual degrees are at least 1, so two adding up to 3 are {1, 2}
+    event = (offered == 2) & (pre_sum == 3)
+    wins = event[t] & (pre == 2) & (traj.chosen[t] == u)
+    return int(event.sum()), int(wins.sum())
 
 
 def write_trajectory_csv(traj: Trajectory, path, hist_path=None) -> None:
@@ -332,9 +326,8 @@ def write_trajectory_csv(traj: Trajectory, path, hist_path=None) -> None:
     with atomic_write(hist_path) as fh:
         fh.write("step,kind,degree,capacity,count\n")
         for cp in traj.checkpoints:
-            for d in sorted(cp.free):
-                fh.write(f"{cp.step},free,{d},,{cp.free[d]}\n")
-            for d in sorted(cp.saturated):
-                fh.write(f"{cp.step},saturated,{d},,{cp.saturated[d]}\n")
+            for kind, hist in (("free", cp.free), ("saturated", cp.saturated)):
+                for d in sorted(hist):
+                    fh.write(f"{cp.step},{kind},{d},,{hist[d]}\n")
             for (d, c) in sorted(cp.free_by_capacity):
                 fh.write(f"{cp.step},free_by_capacity,{d},{c},{cp.free_by_capacity[(d, c)]}\n")

@@ -12,7 +12,8 @@ from cmatch.fluid import (CapacityProfile, compare_models, solve_full_system,
                           solve_G_capless, solve_G_fixed_capacity,
                           solve_G_general_capacity, sup_deviation,
                           verify_characteristics)
-from cmatch.matching import GREEDY, RANKING, final_matched_counts, run_policy
+from cmatch.matching import (GREEDY, RANKING, choice_events, final_matched_counts,
+                             run_policy)
 from cmatch.offline import max_matching
 from cmatch.stream import (DegreeSequencePair, build_full_graph,
                            sample_degree_sequences)
@@ -106,10 +107,10 @@ def test_criterion_06_ranking_bias_equivalence():
     while events < 100_000:
         seq = sample_degree_sequences(pmf, pmf, 100_000, seed=seed)
         traj = run_policy(seq, None, RANKING, seed=seed,
-                          checkpoint_every=NO_SNAPSHOTS,
-                          record_choice_events=True)
-        events += traj.choice_events[0]
-        deg2_wins += traj.choice_events[1]
+                          checkpoint_every=NO_SNAPSHOTS)
+        seen, won = choice_events(traj)
+        events += seen
+        deg2_wins += won
         seed += 1
     freq = deg2_wins / events
     ok = abs(freq - 2.0 / 3.0) <= 0.01

@@ -11,7 +11,7 @@ import pytest
 
 from cmatch.bench_cli import (PRESETS, SUMMARY_SCHEMA, ConfigError,
                               cmd_capacity_merge, cmd_compare, cmd_fluid,
-                              cmd_simulate, load_config, main)
+                              cmd_simulate, load_config, main, sign_test_p)
 from cmatch.matching import run_policy
 
 
@@ -210,6 +210,27 @@ def test_cmd_compare_reports_sign_test(tmp_path):
     assert len(summary["results"]) == 2
 
 
+def test_sign_test_matches_scipy_binomtest():
+    from scipy.stats import binomtest
+    assert sign_test_p(20, 20) == 9.5367431640625e-07
+    assert sign_test_p(0, 0) == 1.0
+    for trials in range(1, 61):
+        for wins in range(trials + 1):
+            ref = binomtest(wins, trials, 0.5, alternative="greater").pvalue
+            assert abs(sign_test_p(wins, trials) - ref) <= 1e-12 * ref
+
+
+def test_compare_leaves_scipy_alone(tmp_path):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", policies=["greedy", "ranking"], runs=3))
+    code = ("import sys; from cmatch.bench_cli import main; "
+            f"assert main(['compare', '--config', {path!r}]) == 0; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    assert _fresh_python(code).strip() == "False"
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert "sign_test_p_greedy_gt_ranking" in summary["comparisons"]["200"]
+
+
 def test_cmd_compare_needs_two_policies(tmp_path):
     cfg = load_config(_write_config(tmp_path, _tiny_simulate_config(
         tmp_path / "o", policies=["greedy"])), None, None, None)
@@ -314,14 +335,18 @@ def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatc
     assert all(seen == [0, n_arr] for seen, n_arr in steps)
 
 
-def test_cli_import_leaves_scipy_sparse_alone():
+def _fresh_python(code):
+    """Standard output of ``code`` run in a fresh interpreter on src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_sparse_alone():
     code = "import sys, cmatch.bench_cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
 
 
 def test_capacity_merge_n_below_capacity_is_exit_2(tmp_path, capsys):

@@ -190,6 +190,13 @@ def test_h_ratio_continuous_at_one(pmf):
     assert abs(pmf.h_ratio(1.0 - 1e-8) - pmf.mean) <= 1e-6
 
 
+def test_h_ratio_keeps_a_tiny_tail():
+    # h is the constant 3.5e-88 here; tail sums formed as 1 - cdf cancel to 0
+    pmf = explicit([1.0, 3.5e-88])
+    assert pmf.h_ratio(1.0 - 1e-8) == pytest.approx(3.5e-88, rel=1e-12, abs=0.0)
+    assert pmf.h_ratio(1.0) == pytest.approx(3.5e-88, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("pmf", pmf_zoo())
 def test_h_ratio_forms_agree_at_the_seam(pmf):
     # inside the polynomial band, the ratio form must give the same value
@@ -233,8 +240,8 @@ def test_scalar_pgf_and_derivs_match_array_path(pmf, x):
 def test_scalar_h_ratio_matches_array_path_on_both_sides_of_the_band(pmf, below, inside):
     # h(1) is the mean by definition; test_h_ratio_at_one_is_mean covers it
     assert _close(pmf.h_ratio(below), (1.0 - polyval(below, pmf.probs)) / (1.0 - below))
-    tail = 1.0 - np.cumsum(pmf.probs)[:-1]
-    assert _close(pmf.h_ratio(inside), polyval(inside, tail) if len(tail) else 0.0)
+    tail = [math.fsum(pmf.probs[j + 1:]) for j in range(pmf.k_max)]  # P(X > j)
+    assert _close(pmf.h_ratio(inside), polyval(inside, tail) if tail else 0.0)
 
 
 def test_scalar_core_still_validates_public_calls():

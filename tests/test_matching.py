@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cmatch import poisson, regular
-from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, RANKING, SMALLEST,
-                             capacities_from_profile, final_matched_counts,
-                             histograms_at, matched_fraction_at, run_policy,
+from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
+                             SMALLEST, capacities_from_profile, choice_events,
+                             final_matched_counts, histograms_at,
+                             matched_fraction_at, run_policy,
                              write_trajectory_csv)
 from cmatch.fluid import solve_full_system
 from cmatch.stream import (DegreeSequencePair, pair_half_edges, pairing_stream,
@@ -162,6 +163,129 @@ def test_free_density_tracks_fluid_system():
 
 
 # ---------------------------------------------------------------------------
+# the run's record and what is derived from it
+
+
+def _record_instances(policy):
+    """Small sequence pairs plus one sampled pair; biased_greedy is defined
+    for residual degrees up to 2 only."""
+    rng = np.random.default_rng(11)
+    top = 3 if policy == BIASED_GREEDY else 5
+    seqs = [DegreeSequencePair.from_degrees(
+                rng.integers(0, top, size=int(rng.integers(1, 8))),
+                rng.integers(0, top, size=int(rng.integers(0, 9))))
+            for _ in range(25)]
+    pmf = regular(2) if policy == BIASED_GREEDY else poisson(3.0)
+    return seqs + [sample_degree_sequences(pmf, pmf, 60, seed=4)]
+
+
+def _capacities(kind, n):
+    if kind == "none":
+        return None, [1] * n
+    if kind == "fixed-2":
+        return 2, [2] * n
+    caps = capacities_from_profile([0.5, 0.3, 0.2], n)
+    return caps, caps.tolist()
+
+
+def _walk_record(traj, seq, initial_caps):
+    """Replay the row and the decisions with plain dicts. Returns the
+    histograms at every step 0..T and checks each decision on the way."""
+    n = seq.n_offline
+    rem = dict(enumerate(seq.deg_u.tolist()))
+    left = dict(enumerate(initial_caps))
+    row = traj.row.tolist()
+    hists = []
+    off = 0
+    for t in range(seq.n_arrivals + 1):
+        free, saturated, by_cap = {}, {}, {}
+        for u in range(n):
+            if left[u] > 0:
+                free[rem[u]] = free.get(rem[u], 0) + 1
+                by_cap[rem[u], left[u]] = by_cap.get((rem[u], left[u]), 0) + 1
+            else:
+                saturated[rem[u]] = saturated.get(rem[u], 0) + 1
+        hists.append((free, saturated, by_cap))
+        if t == seq.n_arrivals:
+            break
+        endpoints = row[off:off + int(seq.deg_v[t])]
+        off += len(endpoints)
+        for u in endpoints:
+            if u < n:
+                rem[u] -= 1
+        pick = int(traj.chosen[t])
+        if pick < 0:
+            assert all(u == n or left[u] == 0 for u in endpoints)
+        else:
+            assert pick in endpoints and left[pick] > 0
+            left[pick] -= 1
+    return hists
+
+
+@pytest.mark.parametrize("cap_kind", ["none", "fixed-2", "profile"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_histograms_derive_exactly_from_the_record(policy, cap_kind):
+    for k, seq in enumerate(_record_instances(policy)):
+        caps, initial = _capacities(cap_kind, seq.n_offline)
+        traj = run_policy(seq, caps, policy, seed=k, checkpoint_every=3)
+        assert traj.caps.tolist() == initial
+        assert traj.chosen.shape == (seq.n_arrivals,)
+        hists = _walk_record(traj, seq, initial)
+        for step, expect in enumerate(hists):
+            assert histograms_at(traj, step) == expect
+        picks = np.cumsum(traj.chosen >= 0)
+        assert traj.matched_at_step.tolist() == [0] + picks.tolist()
+        t_end = seq.n_arrivals
+        steps = sorted(set(range(0, t_end + 1, 3)) | {t_end})
+        assert [cp.step for cp in traj.checkpoints] == steps
+        for cp in traj.checkpoints:
+            assert (cp.free, cp.saturated, cp.free_by_capacity) == hists[cp.step]
+        for outside in (-1, t_end + 1):
+            with pytest.raises(KeyError):
+                histograms_at(traj, outside)
+
+
+def _counted_choice_events(traj):
+    """Count the {1, 2} two-way choices by replaying the record: residual
+    degrees before the arrival paired its half-edges, capacity left before
+    its decision."""
+    rem = np.bincount(traj.row, minlength=traj.n_offline + 1).tolist()
+    left = traj.caps.tolist() + [0]
+    row = traj.row.tolist()
+    events = wins = off = 0
+    for dv, pick in zip(traj.seq.deg_v.tolist(), traj.chosen.tolist()):
+        endpoints = row[off:off + dv]
+        off += dv
+        for u in endpoints:
+            rem[u] -= 1
+        mult = {}
+        for u in endpoints:
+            mult[u] = mult.get(u, 0) + 1
+        pre = {u: rem[u] + k for u, k in mult.items()}
+        free = [u for u in pre if left[u] > 0]
+        if len(free) == 2 and {pre[free[0]], pre[free[1]]} == {1, 2}:
+            events += 1
+            wins += pick == (free[0] if pre[free[0]] == 2 else free[1])
+        if pick >= 0:
+            left[pick] -= 1
+    return events, wins
+
+
+@pytest.mark.parametrize("law, caps, policy", [
+    (regular(2), None, RANKING),
+    (regular(2), None, BIASED_GREEDY),
+    (poisson(2.0), 2, RANKING),
+])
+def test_choice_events_match_a_replayed_count(law, caps, policy):
+    for seed in range(3):
+        seq = sample_degree_sequences(law, law, 2000, seed=seed)
+        traj = run_policy(seq, caps, policy, seed=seed)
+        counted = _counted_choice_events(traj)
+        assert counted[0] > 0
+        assert choice_events(traj) == counted
+
+
+# ---------------------------------------------------------------------------
 # couplings across policies and capacities
 
 
@@ -237,10 +361,10 @@ def test_ranking_prefers_fresh_vertices_two_to_one():
     seed = 0
     while events < 20_000:
         seq = sample_degree_sequences(pmf, pmf, 20_000, seed=seed)
-        traj = run_policy(seq, None, RANKING, seed=seed,
-                          checkpoint_every=10**9, record_choice_events=True)
-        events += traj.choice_events[0]
-        wins += traj.choice_events[1]
+        traj = run_policy(seq, None, RANKING, seed=seed, checkpoint_every=10**9)
+        seen, won = choice_events(traj)
+        events += seen
+        wins += won
         seed += 1
     assert abs(wins / events - 2.0 / 3.0) <= 0.02
 
@@ -253,9 +377,10 @@ def test_biased_greedy_matches_its_bias():
         while events < 20_000:
             seq = sample_degree_sequences(pmf, pmf, 20_000, seed=seed)
             traj = run_policy(seq, None, BIASED_GREEDY, seed=seed, bias=bias,
-                              checkpoint_every=10**9, record_choice_events=True)
-            events += traj.choice_events[0]
-            wins += traj.choice_events[1]
+                              checkpoint_every=10**9)
+            seen, won = choice_events(traj)
+            events += seen
+            wins += won
             seed += 1
         assert abs(wins / events - bias) <= tol
 
