@@ -21,9 +21,6 @@ import numpy as np
 _INPUT_TOL = 1e-9
 # Slack around [0, 1] accepted on evaluation points before rejecting.
 _DOMAIN_TOL = 1e-12
-# Above 1 - _H_BAND the ratio form of h(q) is a 0/0 trap; switch to the
-# exact tail polynomial, which removes the singularity with no tolerance.
-_H_BAND = 1e-7
 # Largest Poisson support built; far past any mean a simulation can use.
 _POISSON_MAX_SUPPORT = 1_000_000
 
@@ -103,9 +100,10 @@ class DegreePMF:
     def h_ratio(self, q: float) -> float:
         """Match-intensity ratio ``(1 - phi(q)) / (1 - q)``.
 
-        Near q = 1 the ratio form degenerates to 0/0; there the exact
-        polynomial ``sum_j P(X > j) q^j`` is used instead, so h is finite
-        on all of [0, 1] and ``h(1)`` equals the mean exactly.
+        Evaluated as its exact polynomial ``sum_j P(X > j) q^j``, whose
+        coefficients are nonnegative: the ratio form cancels near q = 1 and
+        for laws with tiny mass above 0, the polynomial nowhere. ``h(1)``
+        is the mean exactly.
         """
         return self._h_core(_unit(q))
 
@@ -113,9 +111,7 @@ class DegreePMF:
         """:meth:`h_ratio` at a q already clamped to [0, 1], unvalidated."""
         if q == 1.0:
             return self.mean
-        if q > 1.0 - _H_BAND:
-            return _horner(self._rev_tail, q)
-        return (1.0 - _horner(self._rev_probs, q)) / (1.0 - q)
+        return _horner(self._rev_tail, q)
 
     # -- sampling -----------------------------------------------------------
 

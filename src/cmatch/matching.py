@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .stream import (DegreeSequencePair, decision_stream, pair_half_edges,
-                     pairing_stream)
+from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
+                     decision_stream, pair_half_edges, pairing_stream)
 
 GREEDY = "greedy"
 RANKING = "ranking"
@@ -53,10 +53,11 @@ Checkpoint = namedtuple("Checkpoint", "step free saturated free_by_capacity")
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Record of one policy run: the pairing row it read and its decisions.
+    """Record of one policy run: the graph it read and its decisions.
 
-    ``chosen[t]`` is the offline vertex arrival t was matched to (-1 for
-    none) and ``caps`` the initial capacities of the real offline vertices.
+    ``graph`` is ``build_full_graph(seq, seed)``, ``chosen[t]`` the offline
+    vertex arrival t was matched to (-1 for none) and ``caps`` the initial
+    capacities of the real offline vertices.
     The rest is derived: ``matched_at_step[k]`` is the matching size after k
     arrivals, ``checkpoints`` the histograms at ``report_steps``, and
     :func:`histograms_at` and :func:`choice_events` read the record.
@@ -64,8 +65,7 @@ class Trajectory:
     real capacities (N, C*N or N*E[c]).
     """
 
-    seq: DegreeSequencePair
-    row: np.ndarray
+    graph: Multigraph
     chosen: np.ndarray
     caps: np.ndarray
     report_steps: tuple
@@ -75,11 +75,11 @@ class Trajectory:
 
     @property
     def n_offline(self) -> int:
-        return self.seq.n_offline
+        return self.graph.n_offline
 
     @property
     def n_arrivals(self) -> int:
-        return self.seq.n_arrivals
+        return self.graph.n_arrivals
 
     @property
     def capacity_total(self) -> int:
@@ -136,8 +136,8 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                bias: float = 2.0 / 3.0) -> Trajectory:
     """Run one policy over the streamed graph and record its decisions.
 
-    Deterministic given (seq, seed). The run keeps only its pairing row and
-    the endpoint each arrival chose (see :class:`Trajectory`).
+    Deterministic given (seq, seed). The run keeps only its graph and the
+    endpoint each arrival chose (see :class:`Trajectory`).
     ``checkpoint_every`` only picks the report steps of ``checkpoints``: 0,
     every ``checkpoint_every`` arrivals, and T (by default 0 and T).
     """
@@ -145,7 +145,7 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
         raise ValueError(f"unknown policy {policy!r}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    row = pair_half_edges(seq, pairing_stream(seed))[0]
+    graph = build_full_graph(seq, seed)
     rng_dec = decision_stream(seed)
     caps = _init_capacities(seq, capacities)
     initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
@@ -157,14 +157,13 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
 
     # residual degree per offline vertex (balancing vertex last), kept only
     # by the policies that read it
-    rem = (np.bincount(row, minlength=seq.n_offline + 1).tolist()
+    rem = (np.bincount(graph.row, minlength=seq.n_offline + 1).tolist()
            if policy in (SMALLEST, HIGHEST, BIASED_GREEDY) else None)
-    ends = row.tolist()
+    ends = graph.row.tolist()
+    off = memoryview(seq.arrival_offsets)  # yields ints, holds no list of them
     chosen = []
-    off = 0
-    for dv in seq.deg_v.tolist():
-        endpoints = ends[off:off + dv]
-        off += dv
+    for a, b in zip(off, off[1:]):
+        endpoints = ends[a:b]
         if rem is not None:
             for u in endpoints:
                 rem[u] -= 1
@@ -178,7 +177,7 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     every = checkpoint_every or max(1, n_arr)
     steps = sorted(set(range(0, n_arr + 1, every)) | {n_arr})
     matched_at = np.concatenate(([0], np.cumsum(chosen >= 0, dtype=np.int64)))
-    return Trajectory(seq=seq, row=row, chosen=chosen, caps=initial_caps,
+    return Trajectory(graph=graph, chosen=chosen, caps=initial_caps,
                       report_steps=tuple(steps), matched_at_step=matched_at,
                       policy=policy, seed=seed)
 
@@ -233,8 +232,8 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
     base_caps = np.array(_init_capacities(seq, capacities), dtype=np.int64)
     width = base_caps.size
     block = max(1, _BLOCK_SLOTS // max(1, seq.total_u_half_edges))
-    stops = np.cumsum(seq.deg_v).tolist()
-    arrivals = [(stop - dv, stop) for stop, dv in zip(stops, seq.deg_v.tolist()) if dv]
+    off = seq.arrival_offsets.tolist()
+    arrivals = [(a, b) for a, b in zip(off, off[1:]) if b > a]
     rng = pairing_stream(seed)
     out = np.empty(runs, dtype=np.int64)
     for lo in range(0, runs, block):
@@ -273,9 +272,9 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
     """
     if step not in range(traj.n_arrivals + 1):
         raise KeyError(f"step {step} lies outside 0..{traj.n_arrivals}")
-    n = traj.n_offline
-    paired = int(traj.seq.deg_v[:step].sum())
-    rem = traj.seq.deg_u - np.bincount(traj.row[:paired], minlength=n + 1)[:n]
+    n, seq, row = traj.n_offline, traj.graph.seq, traj.graph.row
+    paired = row[:seq.arrival_offsets[step]]
+    rem = seq.deg_u - np.bincount(paired, minlength=n + 1)[:n]
     picks = traj.chosen[:step]
     left = traj.caps - np.bincount(picks[picks >= 0], minlength=n)
     spare = left > 0
@@ -291,10 +290,11 @@ def choice_events(traj: Trajectory) -> tuple:
     whose residual degrees before this arrival paired its half-edges are 1
     and 2; a win is an event where the degree-2 endpoint was chosen.
     """
-    arrival = np.repeat(np.arange(traj.n_arrivals), traj.seq.deg_v)
+    seq, row = traj.graph.seq, traj.graph.row
+    paired = seq.arrival_offsets[-1]
     # paired half-edges grouped by vertex, in pairing order within a vertex
-    order = np.argsort(traj.row[:arrival.size], kind="stable")
-    u, t = traj.row[order], arrival[order]
+    order = np.argsort(row[:paired], kind="stable")
+    u, t = row[order], seq.slot_arrival[order]
     start = np.searchsorted(u, u)
     earlier = np.arange(u.size) - start  # the vertex's half-edges paired before
     # a vertex's first half-edge in an arrival's slice stands for it in that
@@ -305,7 +305,7 @@ def choice_events(traj: Trajectory) -> tuple:
     picks_before = np.cumsum(picked) - picked
     live = first & (picks_before - picks_before[start] < np.append(traj.caps, 0)[u])
     t, u = t[live], u[live]
-    pre = traj.seq.deg_u[u] - earlier[live]  # residual degree before the arrival
+    pre = seq.deg_u[u] - earlier[live]  # residual degree before the arrival
     offered = np.bincount(t, minlength=traj.n_arrivals)
     pre_sum = np.bincount(t, weights=pre, minlength=traj.n_arrivals)
     # residual degrees are at least 1, so two adding up to 3 are {1, 2}

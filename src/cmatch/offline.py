@@ -2,8 +2,9 @@
 
 These supply the denominators for empirical competitive ratios: a maximum
 cardinality matching, and its capacitated generalization where offline
-vertex u may absorb up to omega_u matches. Balancing-vertex edges are
-excluded and parallel edges collapsed first; a matching can use each vertex
+vertex u may absorb up to omega_u matches. Both read the pairing row as
+arrays, with balancing-vertex edges masked out and parallel edges collapsed
+(:meth:`Multigraph.distinct_real_edges`); a matching can use each vertex
 pair at most once, so multiplicity never helps the optimum.
 
 Both solvers are exact integer routines from scipy.sparse.csgraph
@@ -33,17 +34,12 @@ class OptResult:
     method: str
 
 
-def _distinct_real_edges(graph: Multigraph) -> list:
-    return sorted(set(graph.real_edges()))
-
-
 def max_matching(graph: Multigraph) -> OptResult:
     """Exact maximum-cardinality matching between real vertices."""
-    edges = _distinct_real_edges(graph)
-    if not edges:
+    v, u = graph.distinct_real_edges()
+    if not v.size:
         return OptResult(size=0, method=AUGMENTING_PATHS)
-    vs, us = zip(*edges)
-    bi = csr_matrix((np.ones(len(edges), dtype=np.int8), (vs, us)),
+    bi = csr_matrix((np.ones(v.size, dtype=np.int8), (v, u)),
                     shape=(graph.n_arrivals, graph.n_offline))
     perm = maximum_bipartite_matching(bi, perm_type="column")
     return OptResult(size=int(np.count_nonzero(perm >= 0)),
@@ -59,26 +55,17 @@ def max_b_matching(graph: Multigraph, capacities) -> OptResult:
                          f"expected {graph.n_offline}")
     if np.any(caps < 0):
         raise ValueError("capacities must be nonnegative")
-    edges = _distinct_real_edges(graph)
-    if not edges:
+    v, u = graph.distinct_real_edges()
+    if not v.size:
         return OptResult(size=0, method=MAX_FLOW)
     n, t = graph.n_offline, graph.n_arrivals
     source, sink = 0, 1 + n + t
-    rows, cols, data = [], [], []
-    for u in range(n):
-        if caps[u] > 0:
-            rows.append(source)
-            cols.append(1 + u)
-            data.append(int(caps[u]))
-    for v, u in edges:
-        rows.append(1 + u)
-        cols.append(1 + n + v)
-        data.append(1)
-    for v in range(t):
-        rows.append(1 + n + v)
-        cols.append(sink)
-        data.append(1)
-    net = csr_matrix((np.asarray(data, dtype=np.int32), (rows, cols)),
+    # node ids: source 0, offline u at 1 + u, arrival v at 1 + n + v, sink
+    fed = np.flatnonzero(caps > 0)
+    rows = np.concatenate((np.full(fed.size, source), 1 + u, 1 + n + np.arange(t)))
+    cols = np.concatenate((1 + fed, 1 + n + v, np.full(t, sink)))
+    data = np.concatenate((caps[fed], np.ones(v.size + t, dtype=np.int64)))
+    net = csr_matrix((data.astype(np.int32), (rows, cols)),
                      shape=(n + t + 2, n + t + 2))
     value = maximum_flow(net, source, sink).flow_value
     return OptResult(size=int(value), method=MAX_FLOW)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from cmatch.degrees import _H_BAND, dominates, explicit, from_spec, poisson, regular
+from cmatch.degrees import dominates, explicit, from_spec, poisson, regular
 
 
 def pmf_zoo():
@@ -191,15 +191,17 @@ def test_h_ratio_continuous_at_one(pmf):
 
 
 def test_h_ratio_keeps_a_tiny_tail():
-    # h is the constant 3.5e-88 here; tail sums formed as 1 - cdf cancel to 0
+    # h is the constant 3.5e-88 here; tail sums formed as 1 - cdf cancel to
+    # 0, and so does the ratio form (1 - phi(q)) / (1 - q)
     pmf = explicit([1.0, 3.5e-88])
+    assert pmf.h_ratio(0.5) == pytest.approx(3.5e-88, rel=1e-12, abs=0.0)
     assert pmf.h_ratio(1.0 - 1e-8) == pytest.approx(3.5e-88, rel=1e-12, abs=0.0)
     assert pmf.h_ratio(1.0) == pytest.approx(3.5e-88, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("pmf", pmf_zoo())
 def test_h_ratio_forms_agree_at_the_seam(pmf):
-    # inside the polynomial band, the ratio form must give the same value
+    # just below 1, where the ratio form starts to cancel, it still agrees
     q = 1.0 - 0.5e-7
     rational = (1.0 - pmf.pgf(q)) / (1.0 - q)
     assert abs(pmf.h_ratio(q) - rational) <= 1e-6
@@ -235,13 +237,15 @@ def test_scalar_pgf_and_derivs_match_array_path(pmf, x):
 
 
 @_PROPERTY
-@given(explicit_laws(), st.floats(0.0, 1.0 - 2 * _H_BAND),
-       st.floats(1.0 - _H_BAND / 2, 1.0, exclude_max=True))
+@given(explicit_laws(), st.floats(0.0, 1.0 - 2e-7),
+       st.floats(1.0 - 0.5e-7, 1.0, exclude_max=True))
 def test_scalar_h_ratio_matches_array_path_on_both_sides_of_the_band(pmf, below, inside):
-    # h(1) is the mean by definition; test_h_ratio_at_one_is_mean covers it
-    assert _close(pmf.h_ratio(below), (1.0 - polyval(below, pmf.probs)) / (1.0 - below))
+    # h(1) is the mean by definition; test_h_ratio_at_one_is_mean covers it.
+    # The reference is the tail polynomial with correctly rounded tails; the
+    # ratio form cancels near 1 and for tiny masses above 0.
     tail = [math.fsum(pmf.probs[j + 1:]) for j in range(pmf.k_max)]  # P(X > j)
-    assert _close(pmf.h_ratio(inside), polyval(inside, tail) if tail else 0.0)
+    for q in (below, inside):
+        assert _close(pmf.h_ratio(q), polyval(q, tail) if tail else 0.0)
 
 
 def test_scalar_core_still_validates_public_calls():

@@ -194,7 +194,7 @@ def _walk_record(traj, seq, initial_caps):
     n = seq.n_offline
     rem = dict(enumerate(seq.deg_u.tolist()))
     left = dict(enumerate(initial_caps))
-    row = traj.row.tolist()
+    row = traj.graph.row.tolist()
     hists = []
     off = 0
     for t in range(seq.n_arrivals + 1):
@@ -249,11 +249,11 @@ def _counted_choice_events(traj):
     """Count the {1, 2} two-way choices by replaying the record: residual
     degrees before the arrival paired its half-edges, capacity left before
     its decision."""
-    rem = np.bincount(traj.row, minlength=traj.n_offline + 1).tolist()
+    rem = np.bincount(traj.graph.row, minlength=traj.n_offline + 1).tolist()
     left = traj.caps.tolist() + [0]
-    row = traj.row.tolist()
+    row = traj.graph.row.tolist()
     events = wins = off = 0
-    for dv, pick in zip(traj.seq.deg_v.tolist(), traj.chosen.tolist()):
+    for dv, pick in zip(traj.graph.seq.deg_v.tolist(), traj.chosen.tolist()):
         endpoints = row[off:off + dv]
         off += dv
         for u in endpoints:

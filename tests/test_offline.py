@@ -32,7 +32,8 @@ def test_star_counts_once():
 
 def test_simple_regular_instance_has_perfect_matching():
     seq = sample_degree_sequences(regular(3), regular(3), 100, seed=2)
-    g = build_full_graph(seq, seed=2, simple_only=True)
+    g = next(g for g in (build_full_graph(seq, seed=s) for s in range(2, 10**5))
+             if g.is_simple())
     assert max_matching(g).size == 100
 
 
@@ -40,7 +41,11 @@ def test_matches_brute_force_on_tiny_graphs():
     rng = np.random.default_rng(0)
     for _ in range(40):
         g = _random_tiny_graph(rng)
-        edges = sorted(set(g.real_edges()))
+        multi = g.real_edges()
+        edges = sorted(set(multi))
+        assert g.is_simple() == (len(edges) == len(multi))
+        v, u = g.distinct_real_edges()
+        assert list(zip(v.tolist(), u.tolist())) == edges
         expected = brute_force_max_matching(edges, g.n_offline, g.n_arrivals)
         assert max_matching(g).size == expected
 
@@ -87,12 +92,15 @@ def test_balancing_edges_are_excluded():
     assert all(u < 2 for _, u in g.real_edges())
 
 
+def _graph(deg_u, deg_v, row):
+    return Multigraph(DegreeSequencePair.from_degrees(deg_u, deg_v),
+                      np.array(row, dtype=np.int64))
+
+
 def test_idempotent_and_monotone():
-    base = Multigraph(adjacency=((0,), (1,)), leftover=(), n_offline=3,
-                      n_arrivals=2, balance_side="none", balance_degree=0)
-    extended = Multigraph(adjacency=((0,), (1,), (2,)), leftover=(),
-                          n_offline=3, n_arrivals=3, balance_side="none",
-                          balance_degree=0)
+    base = _graph([1, 1, 0], [1, 1], [0, 1])
+    extended = _graph([1, 1, 1], [1, 1, 1], [0, 1, 2])
+    assert base.adjacency == ((0,), (1,)) and extended.adjacency == ((0,), (1,), (2,))
     assert max_matching(base).size == max_matching(base).size == 2
     assert max_matching(extended).size >= max_matching(base).size
 
@@ -106,7 +114,31 @@ def test_capacity_array_validation():
 
 
 def test_empty_graph():
-    g = Multigraph(adjacency=(), leftover=(), n_offline=2, n_arrivals=0,
-                   balance_side="none", balance_degree=0)
+    g = _graph([0, 0], [], [])
+    assert g.adjacency == () and g.leftover == () and g.n_offline == 2
     assert max_matching(g).size == 0
     assert max_b_matching(g, [1, 1]).size == 0
+
+
+@pytest.mark.parametrize("law, cap", [(regular(3), 1), (poisson(4.0), 2)])
+def test_optima_match_networkx_at_mid_size(law, cap):
+    # an independent oracle at a size the brute force cannot reach:
+    # Hopcroft-Karp for the matching, a max flow for the b-matching
+    import networkx as nx
+    seq = sample_degree_sequences(law, law, 2000, seed=0)
+    g = build_full_graph(seq, seed=0)
+    edges = set(g.real_edges())
+    top = [("u", u) for u in range(g.n_offline)]
+    bip = nx.Graph()
+    bip.add_nodes_from(top)
+    bip.add_nodes_from(("v", v) for v in range(g.n_arrivals))
+    bip.add_edges_from((("u", u), ("v", v)) for v, u in edges)
+    matching = nx.bipartite.maximum_matching(bip, top_nodes=top)
+    assert max_matching(g).size == len(matching) // 2
+
+    net = nx.DiGraph()
+    net.add_edges_from(("s", ("u", u), {"capacity": cap}) for u in range(g.n_offline))
+    net.add_edges_from((("u", u), ("v", v), {"capacity": 1}) for v, u in edges)
+    net.add_edges_from((("v", v), "t", {"capacity": 1}) for v in range(g.n_arrivals))
+    caps = np.full(g.n_offline, cap)
+    assert max_b_matching(g, caps).size == nx.maximum_flow_value(net, "s", "t")

@@ -164,13 +164,16 @@ def test_pool_counts_stay_consistent():
 def test_single_edge_graph():
     g = build_full_graph(DegreeSequencePair.from_degrees([1], [1]), seed=0)
     assert g.real_edges() == [(0, 0)]
-    assert g.edge_triples() == [(0, 0, 0)]
+    assert g.row.tolist() == [0]
+    assert g.seq.slot_arrival.tolist() == [0]
+    assert [a.tolist() for a in g.distinct_real_edges()] == [[0], [0]]
 
 
 def test_graph_matches_streaming_reveal():
     seq = sample_degree_sequences(poisson(4.0), poisson(4.0), 300, seed=11)
     g = build_full_graph(seq, seed=11)
     row = pair_half_edges(seq, pairing_stream(11))[0]
+    assert np.array_equal(g.row, row)
     streamed = _arrival_slices(seq, row)
     assert tuple(streamed) == g.adjacency
     assert g.leftover == tuple(row[int(seq.deg_v.sum()):].tolist())
@@ -238,16 +241,24 @@ def test_streams_are_deterministic_and_policy_free():
     assert g1.adjacency == g2.adjacency and g1.leftover == g2.leftover
 
 
-def test_simple_only_flag():
+def test_seed_loop_finds_a_simple_graph():
     seq = DegreeSequencePair.from_degrees([2, 2], [2, 2])
-    g = build_full_graph(seq, seed=0, simple_only=True)
-    assert g.is_simple()
+    graphs = [build_full_graph(seq, seed=seed) for seed in range(20)]
+    simple = [g.is_simple() for g in graphs]
+    assert any(simple) and not all(simple)
+    for g, ok in zip(graphs, simple):
+        edges = g.real_edges()
+        assert ok == (len(set(edges)) == len(edges))
 
 
-def test_leftover_edges_are_flagged():
+def test_leftover_edges_are_flagged(tmp_path):
     seq = DegreeSequencePair.from_degrees([2, 2], [1, 1])  # balance on V
     g = build_full_graph(seq, seed=0)
-    triples = g.edge_triples()
+    assert g.seq.slot_arrival.tolist() == [0, 1, 2, 2]
+    assert len(g.leftover) == 2 and len(g.real_edges()) == 2
+    path = tmp_path / "edges.txt"
+    write_edge_list(g, path)
+    triples = [tuple(map(int, line.split())) for line in path.read_text().splitlines()[1:]]
     flagged = [t for t in triples if t[2] == 1]
     assert len(flagged) == 2
     assert all(v == seq.n_arrivals for v, _, _ in flagged)
@@ -264,3 +275,36 @@ def test_write_edge_list_format(tmp_path):
     for line in lines[1:]:
         v, u, flag = map(int, line.split())
         assert flag in (0, 1)
+
+
+def _plain_edge_list(graph) -> str:
+    """The edge-list format written out with a loop over the row."""
+    seq, row = graph.seq, graph.row.tolist()
+    n, t = seq.n_offline, seq.n_arrivals
+    lines = [f"{n} {t}\n"]
+    off = 0
+    for v, dv in enumerate(seq.deg_v.tolist()):
+        for u in row[off:off + dv]:
+            lines.append(f"{v} {u} {int(u == n)}\n")
+        off += dv
+    for u in row[off:]:
+        lines.append(f"{t} {u} 1\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("deg_u, deg_v, law, sample_seed, side", [
+    ([2, 1, 3], [1, 3, 2], regular(3), 0, "none"),
+    ([1, 1], [3, 0, 2], poisson(3.0), 7, "U"),
+    ([3, 2, 2], [1, 2], poisson(3.0), 0, "V"),
+])
+def test_write_edge_list_matches_a_plain_loop(tmp_path, deg_u, deg_v, law,
+                                              sample_seed, side):
+    seqs = [DegreeSequencePair.from_degrees(deg_u, deg_v),
+            sample_degree_sequences(law, law, 200, seed=sample_seed)]
+    for k, seq in enumerate(seqs):
+        assert seq.balance_side == side
+        for seed in range(3):
+            g = build_full_graph(seq, seed=seed)
+            path = tmp_path / f"edges_{k}_{seed}.txt"
+            write_edge_list(g, path)
+            assert path.read_bytes() == _plain_edge_list(g).encode()
