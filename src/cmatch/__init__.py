@@ -17,7 +17,7 @@ from .matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                        choice_events, final_matched_counts, histograms_at,
                        matched_fraction_at, run_policy, write_trajectory_csv)
 from .fluid import (CapacityProfile, CharacteristicsReport, FluidCurve,
-                    ModelComparison, SystemState, SystemTrajectory,
+                    ModelComparison, SystemTrajectory,
                     closed_form_2regular, closed_form_er, compare_models,
                     solve_G_capless, solve_G_fixed_capacity,
                     solve_G_general_capacity, solve_full_system,
@@ -31,7 +31,7 @@ __all__ = [
     "Trajectory", "run_policy", "final_matched_counts", "matched_fraction_at",
     "histograms_at", "choice_events", "capacities_from_profile",
     "write_trajectory_csv",
-    "FluidCurve", "CapacityProfile", "SystemState", "SystemTrajectory",
+    "FluidCurve", "CapacityProfile", "SystemTrajectory",
     "CharacteristicsReport", "ModelComparison",
     "solve_G_capless", "solve_G_fixed_capacity", "solve_G_general_capacity",
     "solve_full_system", "verify_characteristics", "closed_form_2regular",

@@ -77,7 +77,6 @@ class ExperimentConfig:
     merge_capacity: int = 2
     seed_base: int = 0
     outputs: str = "out"
-    preset: str | None = None
     step: float = 1e-4
 
     def validate(self) -> "ExperimentConfig":
@@ -163,7 +162,6 @@ def load_config(config_path: str | None, preset: str | None,
             raise ConfigError(f"unknown preset {preset!r}; "
                               f"available: {', '.join(sorted(PRESETS))}")
         data.update(copy.deepcopy(PRESETS[preset]))
-        data["preset"] = preset
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -446,6 +444,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        if cfg.models is not None and args.command != "fluid":
+            raise ConfigError(f"field 'models' is read only by 'fluid', "
+                              f"not by '{args.command}'")
         outcome = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,6 +23,10 @@ _INPUT_TOL = 1e-9
 _DOMAIN_TOL = 1e-12
 # Largest Poisson support built; far past any mean a simulation can use.
 _POISSON_MAX_SUPPORT = 1_000_000
+# Tail mass beyond a truncated Poisson support.
+_POISSON_TAIL_EPS = 1e-12
+# Intervals of the uniform grid on which dominates compares two series.
+_DOMINANCE_GRID = 1000
 
 
 def _unit(x: float) -> float:
@@ -181,9 +185,9 @@ def regular(d: int) -> DegreePMF:
     return _build(probs, f"regular-{d}")
 
 
-def poisson(c: float, tail_eps: float = 1e-12) -> DegreePMF:
+def poisson(c: float) -> DegreePMF:
     """Poisson(c) truncated at the smallest k_max with tail mass below
-    ``tail_eps``, then renormalized.
+    1e-12, then renormalized.
 
     Terms are built in log space, ``k log c - c - lgamma(k + 1)``, so
     ``exp(-c)`` never underflows for large c, and tail masses are summed
@@ -191,8 +195,6 @@ def poisson(c: float, tail_eps: float = 1e-12) -> DegreePMF:
     """
     if c <= 0:
         raise ValueError("poisson parameter must be positive")
-    if not 0 < tail_eps <= 1e-6:
-        raise ValueError("tail_eps must lie in (0, 1e-6]")
     # 40 standard deviations (plus 100) past the mean: the mass beyond is
     # below 1e-60, so the top-down tail sums are exact to rounding.
     k_hi = int(c + 40.0 * math.sqrt(c) + 100.0)
@@ -203,7 +205,7 @@ def poisson(c: float, tail_eps: float = 1e-12) -> DegreePMF:
     terms = np.array([math.exp(k * log_c - c - math.lgamma(k + 1))
                       for k in range(k_hi + 1)])
     beyond = np.cumsum(terms[::-1])[::-1][1:]  # beyond[k] = P(X > k)
-    cut = np.flatnonzero(beyond < tail_eps)
+    cut = np.flatnonzero(beyond < _POISSON_TAIL_EPS)
     k_max = int(cut[0]) if cut.size else k_hi
     return _build(terms[: k_max + 1], f"poisson-{c:g}")
 
@@ -258,18 +260,17 @@ def _spec_field(spec: dict, name: str, ok, what: str):
     return value
 
 
-def dominates(pmf_a: DegreePMF, pmf_b: DegreePMF, grid_size: int = 1000) -> bool:
-    """True iff phi_a >= phi_b on a uniform interior grid of (0, 1).
+def dominates(pmf_a: DegreePMF, pmf_b: DegreePMF) -> bool:
+    """True iff phi_a >= phi_b on the interior points of a uniform grid of
+    (0, 1) with 1000 intervals.
 
     Both laws must have the same mean (within 1e-9); comparing generating
     series only orders matching performance under that hypothesis.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
     if abs(pmf_a.mean - pmf_b.mean) > 1e-9:
         raise ValueError(
             f"means differ ({pmf_a.mean!r} vs {pmf_b.mean!r}); "
             "the comparison hypothesis requires equal means"
         )
-    grid = np.arange(1, grid_size) / grid_size
+    grid = np.arange(1, _DOMINANCE_GRID) / _DOMINANCE_GRID
     return bool(np.all(pmf_a.pgf(grid) >= pmf_b.pgf(grid) - 1e-12))

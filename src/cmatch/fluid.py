@@ -15,7 +15,9 @@ needed anywhere in the integrand.
 
 The module also integrates the full residual-degree density system (one
 equation per degree for free and saturated vertices), and checks it against
-the closed transport-equation solution along characteristic curves.
+the closed transport-equation solution along characteristic curves. On a
+characteristic that solution's F(t) is G(1 - exp(-mean_v t)), so the G-ODE
+is the only scalar ODE solved here.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class FluidCurve:
         """Normalized matching size at s = 1."""
         return float(self.matched[-1])
 
-    def g_at(self, s) -> float:
+    def g_at(self, s):
         return np.interp(s, self.grid, self.G)
 
     def matched_at(self, s):
@@ -218,16 +220,6 @@ def sup_deviation(traj, curve: FluidCurve) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemState:
-    """Densities at one time: free[i] and saturated[i] are the fractions of
-    offline vertices with residual degree i."""
-
-    t: float
-    free: np.ndarray
-    saturated: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SystemTrajectory:
     """Residual-degree densities on a uniform time grid; time is measured in
     arrivals per offline vertex."""
@@ -235,10 +227,6 @@ class SystemTrajectory:
     t: np.ndarray
     free: np.ndarray
     saturated: np.ndarray
-
-    def state(self, j: int) -> SystemState:
-        return SystemState(t=float(self.t[j]), free=self.free[j],
-                           saturated=self.saturated[j])
 
     def matched_fraction(self) -> np.ndarray:
         """1 - total free density: the aggregated matching size per vertex."""
@@ -318,17 +306,20 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
                            system: SystemTrajectory | None = None) -> CharacteristicsReport:
     """Cross-check the two fluid solvers through the characteristic curves.
 
-    Solves the scalar auxiliary ODE
+    Along a characteristic, F solves
 
         F'(t) = exp(-mean_v t) h_v(1 - phi_u'(1 - F)/mean_u),  F(0) = 0,
 
-    then compares the density system's generating series, evaluated at the
-    warped time (mean_u/mean_v)(1 - exp(-mean_v t)), against
+    which under s = 1 - exp(-mean_v t) is the capacity-less G-ODE, so
+    F(t) = G(1 - exp(-mean_v t)) is read off the solve_G_capless curve at
+    ``step``. The density system's generating series, evaluated at the
+    warped time (mean_u/mean_v)(1 - exp(-mean_v t)), is compared against
     phi_u((s - 1) exp(-mean_v t) + 1 - F(t)) at `samples` random (t, s)
     points. Both sides are independent numerical paths.
     """
     if samples < 1:
         raise ValueError("need at least one sample point")
+    curve = solve_G_capless(pmf_u, pmf_v, step)
     sys_traj = system if system is not None else solve_full_system(
         pmf_u, pmf_v, min(step, _MAX_SYSTEM_STEP))
     mu_u = pmf_u.mean
@@ -336,25 +327,12 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     tau_end = float(sys_traj.t[-1])
     t_max = -math.log(1.0 - tau_end * mu_v / mu_u) / mu_v
 
-    rev_u1 = pmf_u._deriv_rev(1)
-    h_v = pmf_v._h_core
-
-    def slope(t: float, F: float) -> float:
-        q = 1.0 - _horner(rev_u1, _unit(1.0 - F)) / mu_u
-        q = min(max(q, 0.0), 1.0)
-        return math.exp(-mu_v * t) * h_v(q)
-
-    n_steps = max(1, int(math.ceil(t_max / step)))
-    h = t_max / n_steps
-    f_grid = _rk4(slope, 0.0, h, n_steps)
-    t_grid = np.arange(n_steps + 1) * h
-
     rng = np.random.default_rng(seed)
     ts = rng.random(samples) * t_max
     ss = rng.random(samples)
     decay = np.exp(-mu_v * ts)
     taus = (mu_u / mu_v) * (1.0 - decay)
-    f_at = np.interp(ts, t_grid, f_grid)
+    f_at = curve.g_at(1.0 - decay)
 
     lhs = np.zeros(samples)
     s_pow = np.ones(samples)
@@ -404,14 +382,14 @@ class ModelComparison:
 
 
 def compare_models(pmf_u: DegreePMF, pmf_v1: DegreePMF, pmf_v2: DegreePMF,
-                   step: float = 1e-4, grid_size: int = 1000) -> ModelComparison:
+                   step: float = 1e-4) -> ModelComparison:
     """Solve both capacity-less curves and report the endpoint ordering.
 
     Requires equal online means and generating-series dominance of model 1
     over model 2 (checked on a grid); raises ValueError when the hypothesis
     fails, since the ordering is then unfounded.
     """
-    if not dominates(pmf_v1, pmf_v2, grid_size=grid_size):
+    if not dominates(pmf_v1, pmf_v2):
         raise ValueError("generating series of model 1 does not dominate model 2")
     e1 = solve_G_capless(pmf_u, pmf_v1, step).endpoint
     e2 = solve_G_capless(pmf_u, pmf_v2, step).endpoint

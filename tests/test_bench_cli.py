@@ -59,9 +59,11 @@ def test_bad_json_reports_location(tmp_path):
 
 
 def test_unknown_field_rejected(tmp_path):
-    path = _write_config(tmp_path, {"experiment": "x", "typo_field": 1})
-    with pytest.raises(ConfigError, match="typo_field"):
-        load_config(path, None, None, None)
+    # "preset" names a preset on the command line only, never in a config
+    for field, value in (("typo_field", 1), ("preset", "nonsense")):
+        path = _write_config(tmp_path, {"experiment": "x", field: value})
+        with pytest.raises(ConfigError, match=field):
+            load_config(path, None, None, None)
 
 
 def test_bad_distribution_spec_names_field(tmp_path):
@@ -81,7 +83,7 @@ def test_overrides_apply(tmp_path):
 def test_presets_all_validate():
     for name in PRESETS:
         cfg = load_config(None, name, None, None)
-        assert cfg.preset == name
+        assert cfg.experiment == name
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,17 @@ def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     command = "fluid" if field == "models" else "simulate"
     assert main([command, "--config", path]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "capacity-merge"])
+def test_models_outside_fluid_is_exit_2(tmp_path, capsys, command):
+    entry = {"model_u": {"kind": "regular", "d": 3},
+             "model_v": {"kind": "regular", "d": 3}}
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", policies=["greedy", "ranking"], models=[entry]))
+    assert main([command, "--config", path]) == 2
+    assert "models" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatch):

@@ -52,12 +52,12 @@ def test_regular_rejects_zero():
 
 
 def test_poisson_truncation_keeps_mean():
-    p = poisson(4.0, tail_eps=1e-12)
+    p = poisson(4.0)
     assert 4.0 - 1e-9 <= p.mean <= 4.0
 
 
 def test_poisson_mass_at_zero():
-    p = poisson(1.0, tail_eps=1e-12)
+    p = poisson(1.0)
     assert p.probs[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
@@ -78,10 +78,6 @@ def test_poisson_rejects_bad_parameters():
         poisson(0.0)
     with pytest.raises(ValueError):
         poisson(-1.0)
-    with pytest.raises(ValueError):
-        poisson(2.0, tail_eps=1e-3)
-    with pytest.raises(ValueError):
-        poisson(2.0, tail_eps=0.0)
 
 
 def test_explicit_renormalizes_within_tolerance():
@@ -200,7 +196,7 @@ def test_h_ratio_keeps_a_tiny_tail():
 
 
 @pytest.mark.parametrize("pmf", pmf_zoo())
-def test_h_ratio_forms_agree_at_the_seam(pmf):
+def test_h_ratio_matches_the_ratio_form_just_below_one(pmf):
     # just below 1, where the ratio form starts to cancel, it still agrees
     q = 1.0 - 0.5e-7
     rational = (1.0 - pmf.pgf(q)) / (1.0 - q)
@@ -239,7 +235,7 @@ def test_scalar_pgf_and_derivs_match_array_path(pmf, x):
 @_PROPERTY
 @given(explicit_laws(), st.floats(0.0, 1.0 - 2e-7),
        st.floats(1.0 - 0.5e-7, 1.0, exclude_max=True))
-def test_scalar_h_ratio_matches_array_path_on_both_sides_of_the_band(pmf, below, inside):
+def test_scalar_h_ratio_matches_tail_polynomial_below_and_near_one(pmf, below, inside):
     # h(1) is the mean by definition; test_h_ratio_at_one_is_mean covers it.
     # The reference is the tail polynomial with correctly rounded tails; the
     # ratio form cancels near 1 and for tiny masses above 0.

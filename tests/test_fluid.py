@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cmatch import poisson, regular, explicit
-from cmatch.fluid import (CapacityProfile, closed_form_2regular,
-                          closed_form_er, compare_models, solve_full_system,
+from cmatch.fluid import (CapacityProfile, SystemTrajectory,
+                          closed_form_2regular, closed_form_er,
+                          compare_models, solve_full_system,
                           solve_G_capless, solve_G_fixed_capacity,
                           solve_G_general_capacity, sup_deviation,
                           verify_characteristics, write_fluid_csv)
@@ -272,6 +273,68 @@ def test_characteristics_report_small_discrepancy():
     assert report.max_discrepancy <= 5e-4
     assert len(report.t_values) == 50
     assert np.all(report.lhs >= -1e-9) and np.all(report.rhs >= -1e-9)
+
+
+def _characteristic_by_rk4(pmf_u, pmf_v, t_max, step):
+    """RK4 of F' = exp(-mean_v t) h_v(1 - phi_u'(1 - F)/mean_u), F(0) = 0, in
+    t, through the public pgf_deriv and h_ratio: (t grid, F on it)."""
+    mu_u, mu_v = pmf_u.mean, pmf_v.mean
+
+    def slope(t, F):
+        q = 1.0 - pmf_u.pgf_deriv(min(max(1.0 - F, 0.0), 1.0), 1) / mu_u
+        return math.exp(-mu_v * t) * pmf_v.h_ratio(min(max(q, 0.0), 1.0))
+
+    n = math.ceil(t_max / step)
+    h = t_max / n
+    F = [0.0]
+    for i in range(n):
+        t, y = i * h, F[-1]
+        k1 = slope(t, y)
+        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = slope(t + h, y + h * k3)
+        F.append(y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    return np.arange(n + 1) * h, np.array(F)
+
+
+@pytest.mark.parametrize("pmf_u, pmf_v", [
+    (regular(4), regular(4)),
+    (poisson(4.0), poisson(4.0)),
+    (regular(3), poisson(2.0)),
+], ids=["regular-4", "poisson-4", "regular-3/poisson-2"])
+def test_characteristic_is_the_capless_curve_in_warped_time(pmf_u, pmf_v):
+    # F(t) = G(1 - exp(-mean_v t)), up to the time the density system's
+    # last point warps back to
+    system = solve_full_system(pmf_u, pmf_v, 1e-3)
+    tau_end = float(system.t[-1])
+    t_max = -math.log(1.0 - tau_end * pmf_v.mean / pmf_u.mean) / pmf_v.mean
+    ts, F = _characteristic_by_rk4(pmf_u, pmf_v, t_max, 1e-4)
+    curve = solve_G_capless(pmf_u, pmf_v, 1e-4)
+    G = curve.g_at(1.0 - np.exp(-pmf_v.mean * ts))
+    assert np.max(np.abs(F - G)) <= 1e-8
+    # and the transport solution the check reports is built on that F
+    report = verify_characteristics(pmf_u, pmf_v, step=1e-4, system=system)
+    decay = np.exp(-pmf_v.mean * report.t_values)
+    f_at = np.interp(report.t_values, ts, F)
+    rhs = pmf_u.pgf(np.clip((report.s_values - 1.0) * decay + 1.0 - f_at, 0.0, 1.0))
+    assert np.max(np.abs(report.rhs - rhs)) <= 1e-8
+
+
+def test_characteristics_detects_a_perturbed_system():
+    pmf = regular(4)
+    system = solve_full_system(pmf, pmf, 1e-3)
+    report = verify_characteristics(pmf, pmf, step=1e-3, seed=1, system=system)
+    assert report.max_discrepancy <= 5e-4
+    free = system.free.copy()
+    free[:, 2] += 1e-3
+    bent = SystemTrajectory(t=system.t, free=free, saturated=system.saturated)
+    report = verify_characteristics(pmf, pmf, step=1e-3, seed=1, system=bent)
+    assert report.max_discrepancy > 5e-4
+
+
+def test_characteristics_step_obeys_the_g_solver_bound():
+    with pytest.raises(ValueError):
+        verify_characteristics(regular(4), regular(4), step=2e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 ``perfbench/child.py`` reads library API the tests do not otherwise pin
 (``Multigraph.adjacency`` and ``real_edges()``, ``run_policy``'s
 ``checkpoint_every`` and ``Trajectory.checkpoints``,
-``DegreeSequencePair.total_u_half_edges``). One traced round of each
-workload that touches it must exit 0 with every output check passing.
+``DegreeSequencePair.total_u_half_edges``, and the ``system=`` and
+``step=`` keywords of ``verify_characteristics``, which the ``fluid-solve``
+trace hook reads). One traced round of each workload that touches it must
+exit 0 with every output check passing.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["offline-ratio", "mc-bulk"])
+@pytest.mark.parametrize("workload", ["offline-ratio", "mc-bulk", "fluid-solve"])
 def test_traced_round_passes_its_checks(tmp_path, workload):
     inputs, out, result = tmp_path / "inputs", tmp_path / "out", tmp_path / "result.json"
     inputs.mkdir()
