@@ -14,19 +14,16 @@ import argparse
 
 import numpy as np
 
-from cmatch import (GREEDY, CapacityProfile, capacities_from_profile,
-                    explicit, poisson, run_policy, sample_degree_sequences,
-                    solve_G_capless, solve_G_fixed_capacity,
+from cmatch import (GREEDY, UNIT_CAPACITY, CapacityProfile, explicit,
+                    poisson, run_policy, sample_degree_sequences,
                     solve_G_general_capacity)
 
 
-def mc_mean(pmf_u, pmf_v, n, runs, capacities):
+def mc_mean(pmf_u, pmf_v, n, runs, profile):
     vals = []
     for seed in range(runs):
         seq = sample_degree_sequences(pmf_u, pmf_v, n, seed=seed)
-        caps = (capacities_from_profile(capacities.fractions, seq.n_offline)
-                if isinstance(capacities, CapacityProfile) else capacities)
-        traj = run_policy(seq, caps, GREEDY, seed=seed)
+        traj = run_policy(seq, profile.capacities(seq.n_offline), GREEDY, seed=seed)
         vals.append(traj.final_matched / traj.capacity_total)
     return float(np.mean(vals))
 
@@ -40,8 +37,9 @@ def main():
     pmf = poisson(3.0)
     print("poisson(3) offline and online sides, normalized per unit capacity\n")
     for c_fix in (1, 2, 3):
-        curve = solve_G_fixed_capacity(pmf, pmf, c_fix, 1e-3)
-        sim = mc_mean(pmf, pmf, args.n, args.runs, c_fix)
+        fixed = CapacityProfile.fixed(c_fix)
+        curve = solve_G_general_capacity(pmf, pmf, fixed, 1e-3)
+        sim = mc_mean(pmf, pmf, args.n, args.runs, fixed)
         print(f"  fixed capacity {c_fix}: solver {curve.endpoint:.5f}  "
               f"simulation {sim:.5f}")
 
@@ -56,10 +54,11 @@ def main():
     merged_probs = np.zeros(base.k_max * 2 + 1)
     merged_probs[::2] = base.probs
     merged = explicit(merged_probs, label="poisson-4-merged-x2")
-    base_curve = solve_G_capless(base, base, 1e-3)
-    merged_curve = solve_G_fixed_capacity(merged, base, 2, 1e-3)
-    base_sim = mc_mean(base, base, args.n, args.runs, None)
-    merged_sim = mc_mean(merged, base, args.n // 2, args.runs, 2)
+    pair = CapacityProfile.fixed(2)
+    base_curve = solve_G_general_capacity(base, base, UNIT_CAPACITY, 1e-3)
+    merged_curve = solve_G_general_capacity(merged, base, pair, 1e-3)
+    base_sim = mc_mean(base, base, args.n, args.runs, UNIT_CAPACITY)
+    merged_sim = mc_mean(merged, base, args.n // 2, args.runs, pair)
     print("\nmerging pairs of poisson(4) vertices into capacity-2 vertices:")
     print(f"  baseline  solver {base_curve.endpoint:.5f}  simulation {base_sim:.5f}")
     print(f"  merged    solver {merged_curve.endpoint:.5f}  simulation {merged_sim:.5f}")

@@ -13,11 +13,11 @@ from .degrees import DegreePMF, dominates, explicit, from_spec, poisson, regular
 from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
                      pair_half_edges, sample_degree_sequences, write_edge_list)
 from .matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
-                       SMALLEST, Trajectory, capacities_from_profile,
-                       choice_events, final_matched_counts, histograms_at,
+                       SMALLEST, Trajectory, choice_events,
+                       final_matched_counts, histograms_at,
                        matched_fraction_at, run_policy, write_trajectory_csv)
-from .fluid import (CapacityProfile, CharacteristicsReport, FluidCurve,
-                    ModelComparison, SystemTrajectory,
+from .fluid import (UNIT_CAPACITY, CapacityProfile, CharacteristicsReport,
+                    FluidCurve, ModelComparison, SystemTrajectory,
                     closed_form_2regular, closed_form_er, compare_models,
                     solve_G_capless, solve_G_fixed_capacity,
                     solve_G_general_capacity, solve_full_system,
@@ -29,9 +29,8 @@ __all__ = [
     "pair_half_edges", "build_full_graph", "write_edge_list",
     "GREEDY", "RANKING", "SMALLEST", "HIGHEST", "BIASED_GREEDY", "POLICIES",
     "Trajectory", "run_policy", "final_matched_counts", "matched_fraction_at",
-    "histograms_at", "choice_events", "capacities_from_profile",
-    "write_trajectory_csv",
-    "FluidCurve", "CapacityProfile", "SystemTrajectory",
+    "histograms_at", "choice_events", "write_trajectory_csv",
+    "FluidCurve", "CapacityProfile", "UNIT_CAPACITY", "SystemTrajectory",
     "CharacteristicsReport", "ModelComparison",
     "solve_G_capless", "solve_G_fixed_capacity", "solve_G_general_capacity",
     "solve_full_system", "verify_characteristics", "closed_form_2regular",

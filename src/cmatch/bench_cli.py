@@ -22,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import degrees, matching
+from . import degrees
 from ._io import atomic_write
-from .fluid import (CapacityProfile, FluidCurve, solve_G_capless,
-                    solve_G_fixed_capacity, solve_G_general_capacity,
-                    sup_deviation, write_fluid_csv)
+from .fluid import (UNIT_CAPACITY, CapacityProfile, FluidCurve,
+                    solve_G_general_capacity, sup_deviation, write_fluid_csv)
 from .matching import GREEDY, POLICIES, RANKING, run_policy, write_trajectory_csv
 from .stream import sample_degree_sequences
 
@@ -105,14 +104,13 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"field 'policies': unknown policy {p!r}")
-        _check_model("", self.model_u, self.model_v, self.capacities)
+        _resolve(self, {}, "")
         need(self.models is None or isinstance(self.models, list),
              "models", "a list or null")
         for i, entry in enumerate(self.models or []):
             need(isinstance(entry, dict) and set(entry) <= set(_ENTRY_FIELDS),
                  f"models[{i}]", f"an object with fields among {_ENTRY_FIELDS}")
-            _check_model(f"models[{i}].", *(entry.get(k, getattr(self, k))
-                                             for k in _ENTRY_FIELDS))
+            _resolve(self, entry, f"models[{i}].")
         return self
 
 
@@ -193,56 +191,45 @@ def load_config(config_path: str | None, preset: str | None,
 
 
 _ENTRY_FIELDS = ("model_u", "model_v", "capacities")
+_CAPACITY_SPECS = {"none": (), "fixed": ("C",), "profile": ("p",)}
 
 
-def _check_model(where: str, model_u, model_v, capacities) -> None:
-    for name, spec in (("model_u", model_u), ("model_v", model_v)):
+def _capacity_profile(spec) -> CapacityProfile:
+    """The capacity profile that a ``capacities`` spec names."""
+    kind = degrees._spec_kind(spec, _CAPACITY_SPECS, "capacities")
+    if kind == "none":
+        return UNIT_CAPACITY
+    if kind == "fixed":
+        return CapacityProfile.fixed(degrees._spec_field(
+            spec, "C", lambda C: degrees._is_int(C) and C >= 1, "an integer >= 1"))
+    return CapacityProfile.from_fractions(degrees._spec_field(
+        spec, "p", degrees._is_real_list, "a list of numbers"))
+
+
+def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
+    """(pmf_u, pmf_v, profile) of one model, each built from ``entry``
+    where it names it and from ``cfg`` otherwise; a ConfigError names the
+    first bad field."""
+    built = []
+    for name, build in zip(_ENTRY_FIELDS, (degrees.from_spec, degrees.from_spec,
+                                           _capacity_profile)):
         try:
-            degrees.from_spec(spec)
+            built.append(build(entry.get(name, getattr(cfg, name))))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field '{where}{name}': {exc}") from exc
-    _parse_capacities(capacities, f"{where}capacities")
-
-
-def _parse_capacities(spec, where: str = "capacities"):
-    """Return (solve, caps_for): ``solve(pmf_u, pmf_v, step)`` gives the
-    reference fluid curve and ``caps_for(n)`` the run_policy capacities of
-    n offline vertices."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"field '{where}' must be a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind == "none":
-        return solve_G_capless, lambda n: None
-    if kind == "fixed":
-        C = spec.get("C")
-        if type(C) is not int or C < 1:
-            raise ConfigError(f"field '{where}.C' must be an integer >= 1")
-        return (lambda u, v, step: solve_G_fixed_capacity(u, v, C, step)), lambda n: C
-    if kind == "profile":
-        if "p" not in spec:
-            raise ConfigError(f"field '{where}' needs a profile 'p'")
-        try:
-            prof = CapacityProfile.from_fractions(spec["p"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{where}.p': {exc}") from exc
-        return ((lambda u, v, step: solve_G_general_capacity(u, v, prof, step)),
-                lambda n: matching.capacities_from_profile(prof.fractions, n))
-    raise ConfigError(f"field '{where}': unknown capacities kind {kind!r}")
+    return tuple(built)
 
 
 def _prepare(cfg: ExperimentConfig, entry: dict | None = None):
     """Preamble of every command: the output directory, both degree laws,
-    the capacities of n offline vertices and the reference fluid curve, each
-    taken from ``entry`` where it names them and from ``cfg`` otherwise.
-    Returns (out_dir, pmf_u, pmf_v, caps_for, curve, endpoints)."""
-    entry = entry or {}
+    the capacity profile and the reference fluid curve, each taken from
+    ``entry`` where it names them and from ``cfg`` otherwise.
+    Returns (out_dir, pmf_u, pmf_v, profile, curve, endpoints)."""
     out_dir = Path(cfg.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pmf_u = degrees.from_spec(entry.get("model_u", cfg.model_u))
-    pmf_v = degrees.from_spec(entry.get("model_v", cfg.model_v))
-    solve, caps_for = _parse_capacities(entry.get("capacities", cfg.capacities))
-    curve = solve(pmf_u, pmf_v, cfg.step)
-    return out_dir, pmf_u, pmf_v, caps_for, curve, {_model_key(curve): curve.endpoint}
+    pmf_u, pmf_v, profile = _resolve(cfg, entry or {}, "")
+    curve = solve_G_general_capacity(pmf_u, pmf_v, profile, cfg.step)
+    return out_dir, pmf_u, pmf_v, profile, curve, {_model_key(curve): curve.endpoint}
 
 
 def _model_key(curve: FluidCurve) -> str:
@@ -304,11 +291,11 @@ def cmd_fluid(cfg: ExperimentConfig) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo runs per (n, policy) with trajectories and deviations."""
-    out_dir, pmf_u, pmf_v, caps_for, curve, endpoints = _prepare(cfg)
+    out_dir, pmf_u, pmf_v, profile, curve, endpoints = _prepare(cfg)
     results = []
     failures = []
     for n in cfg.n_values:
-        caps = caps_for(n)
+        caps = profile.capacities(n)
         for policy in cfg.policies:
             fractions, sup_devs = [], []
             for r in range(cfg.runs):
@@ -335,11 +322,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Coupled policy comparison: all policies share each run's graph."""
     if len(cfg.policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    out_dir, pmf_u, pmf_v, caps_for, _, endpoints = _prepare(cfg)
+    out_dir, pmf_u, pmf_v, profile, _, endpoints = _prepare(cfg)
     results = []
     comparisons = {}
     for n in cfg.n_values:
-        caps = caps_for(n)
+        caps = profile.capacities(n)
         finals = [[] for _ in cfg.policies]
         for r in range(cfg.runs):
             seed = cfg.seed_base + r
@@ -376,13 +363,14 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     if too_small:
         raise ConfigError(f"field 'n_values': {too_small} leave no merged vertex "
                           f"at merge_capacity {c_merge}")
-    out_dir, pmf_u, pmf_v, _, base_curve, endpoints = _prepare(
+    out_dir, pmf_u, pmf_v, unit, base_curve, endpoints = _prepare(
         cfg, {"capacities": {"kind": "none"}})
     stretched = np.zeros(pmf_u.k_max * c_merge + 1)
     stretched[:: c_merge] = pmf_u.probs
     pmf_u_merged = degrees.explicit(
         stretched, label=f"{pmf_u.label}-merged-x{c_merge}")
-    merged_curve = solve_G_fixed_capacity(pmf_u_merged, pmf_v, c_merge, cfg.step)
+    merged = CapacityProfile.fixed(c_merge)
+    merged_curve = solve_G_general_capacity(pmf_u_merged, pmf_v, merged, cfg.step)
     endpoints[_model_key(merged_curve)] = merged_curve.endpoint
 
     results = []
@@ -391,15 +379,16 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
         if n_merged * c_merge != n:
             print(f"warning: n={n} not divisible by C={c_merge}; "
                   f"merged model uses {n_merged} vertices", file=sys.stderr)
+        caps, caps_m = unit.capacities(n), merged.capacities(n_merged)
         base_fr, base_dev, merged_fr, merged_dev = [], [], [], []
         for r in range(cfg.runs):
             seed = cfg.seed_base + r
             seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-            traj = run_policy(seq, None, GREEDY, seed)
+            traj = run_policy(seq, caps, GREEDY, seed)
             base_fr.append(traj.final_matched / traj.capacity_total)
             base_dev.append(sup_deviation(traj, base_curve))
             seq_m = sample_degree_sequences(pmf_u_merged, pmf_v, n_merged, seed)
-            traj_m = run_policy(seq_m, c_merge, GREEDY, seed)
+            traj_m = run_policy(seq_m, caps_m, GREEDY, seed)
             merged_fr.append(traj_m.final_matched / traj_m.capacity_total)
             merged_dev.append(sup_deviation(traj_m, merged_curve))
         results.append(_stats_row(n, GREEDY, base_fr, base_dev,

@@ -155,6 +155,8 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(probs) == 0:
         raise ValueError("probability array must be a nonempty vector")
+    if not np.isfinite(probs).all():
+        raise ValueError("probability mass must be finite")
     if np.any(probs < 0):
         raise ValueError("negative probability mass")
     total = probs.sum()
@@ -170,6 +172,7 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     cdf = np.cumsum(probs)
     tail = np.cumsum(probs[::-1])[::-1][1:]  # P(X > j), summed top-down
     probs.setflags(write=False)
+    cdf.setflags(write=False)
     return DegreePMF(probs=probs, mean=mean, variance=max(variance, 0.0),
                      label=label,
                      _rev_probs=tuple(float(p) for p in probs[::-1]),
@@ -215,6 +218,9 @@ def explicit(probs, label: str = "explicit") -> DegreePMF:
     return _build(np.asarray(probs, dtype=float), label)
 
 
+_DEGREE_SPECS = {"regular": ("d",), "poisson": ("c",), "explicit": ("probs",)}
+
+
 def from_spec(spec: dict) -> DegreePMF:
     """Build a law from the distribution spec format used by configs.
 
@@ -222,9 +228,7 @@ def from_spec(spec: dict) -> DegreePMF:
     ``{"kind": "poisson", "c": real}``,
     ``{"kind": "explicit", "probs": [real, ...]}``.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"distribution spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
+    kind = _spec_kind(spec, _DEGREE_SPECS, "distribution")
     if kind == "regular":
         d = _spec_field(spec, "d", _is_int, "an integer")
         return regular(int(d))
@@ -232,12 +236,8 @@ def from_spec(spec: dict) -> DegreePMF:
         c = _spec_field(spec, "c", lambda c: _is_real(c) and math.isfinite(c),
                         "a finite number")
         return poisson(float(c))
-    if kind == "explicit":
-        probs = _spec_field(spec, "probs",
-                            lambda ps: isinstance(ps, list) and all(map(_is_real, ps)),
-                            "a list of numbers")
-        return explicit(probs)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    probs = _spec_field(spec, "probs", _is_real_list, "a list of numbers")
+    return explicit(probs)
 
 
 def _is_int(x) -> bool:
@@ -246,6 +246,24 @@ def _is_int(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_real_list(xs) -> bool:
+    return isinstance(xs, list) and all(map(_is_real, xs))
+
+
+def _spec_kind(spec, kinds: dict, what: str) -> str:
+    """The kind of a config spec: a dict naming one of ``kinds`` (kind ->
+    the fields it reads) and no field that kind does not read."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{what} spec must be a dict with a 'kind': {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *kinds[kind]})
+    if unknown:
+        raise ValueError(f"{kind} spec has unknown field(s) {unknown}")
+    return kind
 
 
 def _spec_field(spec: dict, name: str, ok, what: str):

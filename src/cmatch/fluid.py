@@ -23,12 +23,12 @@ is the only scalar ODE solved here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import DegreePMF, _horner, _unit, dominates
+from .degrees import DegreePMF, _horner, _unit, dominates, explicit
 
 _MAX_G_STEP = 1e-2
 _MAX_SYSTEM_STEP = 1e-3
@@ -65,40 +65,46 @@ class FluidCurve:
 
 @dataclass(frozen=True, eq=False)
 class CapacityProfile:
-    """Fractions of offline vertices per initial capacity c = 1..C."""
+    """Law of the initial capacity of an offline vertex on 1..C: ``p[c]`` is
+    the fraction of vertices with capacity c (``p[0]`` is 0). ``label``
+    names the profile in the curves solved under it."""
 
     p: np.ndarray
     mean_cap: float
     cdf: np.ndarray
+    label: str
 
     @property
     def max_capacity(self) -> int:
         return len(self.p) - 1
 
-    @property
-    def fractions(self) -> np.ndarray:
-        return self.p[1:]
-
     @classmethod
     def from_fractions(cls, fractions) -> "CapacityProfile":
-        """Build from [p_1, p_2, ..., p_C]; trailing zero mass is trimmed."""
-        fr = np.asarray(fractions, dtype=float)
-        if fr.ndim != 1 or len(fr) == 0:
-            raise ValueError("capacity fractions must be a nonempty vector")
-        if np.any(fr < 0):
-            raise ValueError("capacity fractions must be nonnegative")
-        total = fr.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"capacity fractions sum to {total!r}, not 1")
-        fr = fr / total
-        nz = np.nonzero(fr)[0]
-        fr = fr[: int(nz[-1]) + 1]
-        p = np.concatenate([[0.0], fr])
-        p.setflags(write=False)
-        cdf = np.cumsum(p)
-        cdf.setflags(write=False)
-        mean_cap = float(np.dot(np.arange(len(p)), p))
-        return cls(p=p, mean_cap=mean_cap, cdf=cdf)
+        """Build from [p_1, p_2, ..., p_C], checked, normalized and trimmed
+        of trailing zero mass as the degree law [0, p_1, ..., p_C]."""
+        law = explicit([0.0, *fractions])
+        label = "profile-" + ",".join(f"{v:g}" for v in law.probs[1:])
+        return cls(p=law.probs, mean_cap=law.mean, cdf=law._cdf, label=label)
+
+    @classmethod
+    def fixed(cls, C: int) -> "CapacityProfile":
+        """Every offline vertex has capacity C."""
+        if C < 1:
+            raise ValueError("capacity must be >= 1")
+        return replace(cls.from_fractions([0.0] * (C - 1) + [1.0]),
+                       label=f"fixed-{C}")
+
+    def capacities(self, n: int) -> np.ndarray:
+        """Capacity array of n vertices realizing the profile: vertex i gets
+        the capacity c with round(n * cdf[c - 1]) <= i < round(n * cdf[c]),
+        and C if no such c exists."""
+        bounds = np.floor(self.cdf[1:] * n + 0.5).astype(np.int64)
+        caps = np.searchsorted(bounds, np.arange(n), side="right") + 1
+        return np.minimum(caps, self.max_capacity)
+
+
+# Unit capacity everywhere: the capacity-less model.
+UNIT_CAPACITY = replace(CapacityProfile.from_fractions([1.0]), label="none")
 
 
 def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
@@ -118,11 +124,12 @@ def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
 
 
 def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
-             step: float, capacity: str) -> FluidCurve:
+             step: float) -> FluidCurve:
     """Solve G'(s) = h_v(1 - Gamma(G)/mean_u) / mean_v, G(0) = 0, where
     Gamma(g) = sum_k w_k g^k/k! phi_u^{(k+1)}(1 - g) with w_k = P(c > k),
     and return the matched fraction per unit of expected capacity,
-    1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G) with a_k = E[(c - k)^+] / E[c]."""
+    1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G) with a_k = E[(c - k)^+] / E[c].
+    Each public solver is one call of it; none calls another."""
     if not 0.0 < step <= _MAX_G_STEP:
         raise ValueError(f"step must lie in (0, {_MAX_G_STEP}]")
     n_steps = max(1, round(1.0 / step))
@@ -166,35 +173,30 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
         total += ak * gk * term
     return FluidCurve(grid=np.arange(n_steps + 1) / n_steps, G=G,
                       matched=1.0 - total, model_u=pmf_u.label,
-                      model_v=pmf_v.label, capacity=capacity, step=h)
+                      model_v=pmf_v.label, capacity=profile.label, step=h)
 
 
 def solve_G_capless(pmf_u: DegreePMF, pmf_v: DegreePMF,
                     step: float = 1e-4) -> FluidCurve:
     """Matched-fraction curve without capacities, normalized per offline
     vertex."""
-    return _g_curve(pmf_u, pmf_v, CapacityProfile.from_fractions([1.0]),
-                    step, "none")
+    return _g_curve(pmf_u, pmf_v, UNIT_CAPACITY, step)
 
 
 def solve_G_fixed_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF, C: int,
                            step: float = 1e-4) -> FluidCurve:
     """Curve when every offline vertex can absorb C matches, normalized per
     unit of capacity (C per vertex)."""
-    if C < 1:
-        raise ValueError("capacity must be >= 1")
-    point_mass = CapacityProfile.from_fractions([0.0] * (C - 1) + [1.0])
-    return _g_curve(pmf_u, pmf_v, point_mass, step, f"fixed-{C}")
+    return _g_curve(pmf_u, pmf_v, CapacityProfile.fixed(C), step)
 
 
 def solve_G_general_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF,
                              profile: CapacityProfile,
                              step: float = 1e-4) -> FluidCurve:
     """Curve under a capacity profile, normalized per unit of expected
-    capacity. The point-mass profiles at 1 and at C are the capacity-less
-    and fixed-capacity curves."""
-    label = "profile-" + ",".join(f"{v:g}" for v in profile.fractions)
-    return _g_curve(pmf_u, pmf_v, profile, step, label)
+    capacity. Under UNIT_CAPACITY and CapacityProfile.fixed(C) it is the
+    capacity-less and fixed-capacity curve."""
+    return _g_curve(pmf_u, pmf_v, profile, step)
 
 
 def write_fluid_csv(curve: FluidCurve, path) -> None:

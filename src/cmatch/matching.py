@@ -106,28 +106,13 @@ def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
             raise ValueError("uniform capacity must be >= 1")
         caps = [int(capacities)] * n
     else:
-        caps = [int(c) for c in capacities]
-        if len(caps) != n:
-            raise ValueError(f"capacity array has length {len(caps)}, expected {n}")
-        if any(c < 1 for c in caps):
+        arr = np.asarray(capacities, dtype=np.int64)
+        if arr.shape != (n,):
+            raise ValueError(f"capacity array has shape {arr.shape}, expected ({n},)")
+        if (arr < 1).any():
             raise ValueError("capacities must all be >= 1")
+        caps = arr.tolist()
     caps.append(0)
-    return caps
-
-
-def capacities_from_profile(fractions, n: int) -> np.ndarray:
-    """Capacity array realizing a profile: fractions[i] of the n vertices get
-    capacity i+1, apportioned by cumulative rounding."""
-    fractions = np.asarray(fractions, dtype=float)
-    if np.any(fractions < 0) or abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError("profile fractions must be nonnegative and sum to 1")
-    bounds = np.floor(np.cumsum(fractions) * n + 0.5).astype(np.int64)
-    caps = np.empty(n, dtype=np.int64)
-    lo = 0
-    for c, hi in enumerate(bounds, start=1):
-        caps[lo:hi] = c
-        lo = hi
-    caps[lo:] = len(fractions)
     return caps
 
 

@@ -307,6 +307,19 @@ def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
     ("merge_capacity", "2"),
     ("seed_base", "1"),
     ("models", [3]),
+    ("capacities", {"kind": "profile", "p": ["0.5", "0.5"]}),
+    ("capacities", {"kind": "profile", "p": [True]}),
+    ("capacities", {"kind": "profile", "p": "0.5,0.5"}),
+    ("capacities", {"kind": "profile", "p": []}),
+    ("capacities", {"kind": "fixed", "C": 0}),
+    ("capacities", {"kind": "fixed", "C": True}),
+    ("capacities", {"kind": "fixed", "C": 2.0}),
+    ("capacities", {"kind": "fixed"}),
+    ("capacities", {"kind": "profile"}),
+    ("capacities", {"kind": "uniform", "C": 2}),
+    ("capacities", {"kind": ["fixed"]}),
+    ("capacities", {"C": 2}),
+    ("capacities", "fixed"),
 ])
 def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     path = _write_config(tmp_path, _tiny_simulate_config(
@@ -405,6 +418,54 @@ def test_mistyped_degree_spec_is_exit_2(tmp_path, capsys, side, spec):
         tmp_path / "o", **{side: spec}))
     assert main(["simulate", "--config", path]) == 2
     assert side in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, spec, sub", [
+    ("model_u", {"kind": "regular", "d": 2, "c": 9}, "c"),
+    ("model_v", {"kind": "poisson", "c": 4, "d": 2}, "d"),
+    ("model_u", {"kind": "explicit", "probs": [0.5, 0.5], "label": "x"}, "label"),
+    ("capacities", {"kind": "none", "C": 2}, "C"),
+    ("capacities", {"kind": "fixed", "C": 2, "p": [1.0]}, "p"),
+    ("capacities", {"kind": "profile", "p": [1.0], "C": 1}, "C"),
+])
+@pytest.mark.parametrize("command", ["fluid", "simulate"])
+def test_unknown_spec_subfield_is_exit_2(tmp_path, capsys, command, field, spec, sub):
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", **{field: spec}))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert field in err and f"'{sub}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("model_u", {"kind": "explicit", "probs": [0.5, float("nan"), 0.5]}),
+    ("model_v", {"kind": "explicit", "probs": [float("inf"), 0.5]}),
+    ("capacities", {"kind": "profile", "p": [float("nan")]}),
+    ("capacities", {"kind": "profile", "p": [0.5, float("nan"), 0.5]}),
+])
+@pytest.mark.parametrize("command", ["fluid", "simulate"])
+def test_non_finite_masses_are_exit_2(tmp_path, capsys, command, field, spec):
+    # Python's json reads and writes the NaN and Infinity literals
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", **{field: spec}))
+    assert main([command, "--config", path]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fluid_endpoint_keys_name_each_capacity_kind(tmp_path):
+    law = {"kind": "regular", "d": 2}
+    entries = [{"model_u": law, "model_v": law, "capacities": caps}
+               for caps in ({"kind": "none"}, {"kind": "fixed", "C": 3},
+                            {"kind": "profile", "p": [0.5, 0.3, 0.2]})]
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        tmp_path / "o", models=entries, step=1e-2))
+    assert main(["fluid", "--config", path]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert sorted(summary["fluid_endpoints"]) == [
+        f"u=regular-2|v=regular-2|cap={cap}"
+        for cap in ("fixed-3", "none", "profile-0.5,0.3,0.2")]
 
 
 def test_main_usage_error_is_exit_2():

@@ -90,6 +90,11 @@ def test_explicit_rejects_bad_mass():
         explicit([0.3, 0.3])
     with pytest.raises(ValueError):
         explicit([1.2, -0.2])
+    # NaN fails every comparison, so the sum check alone would let it pass
+    for probs in ([0.5, math.nan, 0.5], [math.nan], [math.inf, 0.5],
+                  [0.5, -math.inf, 1.5]):
+        with pytest.raises(ValueError, match="finite"):
+            explicit(probs)
 
 
 def test_explicit_trims_trailing_zeros():
@@ -101,7 +106,9 @@ def test_from_spec_round_trip():
     assert from_spec({"kind": "regular", "d": 3}).mean == 3.0
     assert from_spec({"kind": "poisson", "c": 2.0}).mean == pytest.approx(2.0, abs=1e-9)
     assert from_spec({"kind": "explicit", "probs": [0.5, 0.5]}).mean == 0.5
-    for bad in ({}, {"kind": "weird"}, {"kind": "regular"}, "regular", {"kind": "poisson"}):
+    for bad in ({}, {"kind": "weird"}, {"kind": "regular"}, "regular", {"kind": "poisson"},
+                {"kind": ["regular"]}, {"kind": "regular", "d": 2, "c": 9},
+                {"kind": "explicit", "probs": [1.0], "d": 1}):
         with pytest.raises(ValueError):
             from_spec(bad)
 

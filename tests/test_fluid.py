@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from cmatch import poisson, regular, explicit
-from cmatch.fluid import (CapacityProfile, SystemTrajectory,
+from cmatch.fluid import (UNIT_CAPACITY, CapacityProfile, SystemTrajectory,
                           closed_form_2regular, closed_form_er,
                           compare_models, solve_full_system,
                           solve_G_capless, solve_G_fixed_capacity,
                           solve_G_general_capacity, sup_deviation,
                           verify_characteristics, write_fluid_csv)
-from cmatch.matching import GREEDY, capacities_from_profile, run_policy
+from cmatch.matching import GREEDY, run_policy
 from cmatch.stream import sample_degree_sequences
 
 TWO_REGULAR_ENDPOINT = 4.0 * math.sqrt(math.e) - math.e - 3.0
@@ -139,13 +139,72 @@ def test_general_profile_reductions():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        CapacityProfile.from_fractions([0.5, 0.6])
-    with pytest.raises(ValueError):
-        CapacityProfile.from_fractions([-0.5, 1.5])
+    for bad in ([0.5, 0.6], [-0.5, 1.5], [math.nan], [0.5, math.nan, 0.5],
+                [math.inf], [], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            CapacityProfile.from_fractions(bad)
     prof = CapacityProfile.from_fractions([0.5, 0.5])
     assert prof.mean_cap == pytest.approx(1.5, abs=1e-12)
     assert prof.max_capacity == 2
+
+
+@pytest.mark.parametrize("fractions", [[0.5, 0.3, 0.2], [0.0, 0.0, 1.0],
+                                       [0.2, 0.8, 0.0, 0.0], [1.0], [0.3, 0.3, 0.4]])
+def test_profile_is_the_degree_law_without_mass_at_zero(fractions):
+    prof = CapacityProfile.from_fractions(fractions)
+    law = explicit([0.0] + fractions)
+    assert np.array_equal(prof.p, law.probs)
+    assert np.array_equal(prof.cdf, np.cumsum(law.probs))
+    assert prof.mean_cap == law.mean
+    assert prof.max_capacity == law.k_max
+    assert not prof.p.flags.writeable and not prof.cdf.flags.writeable
+
+
+def test_profile_labels():
+    assert UNIT_CAPACITY.label == "none"
+    assert CapacityProfile.fixed(3).label == "fixed-3"
+    assert CapacityProfile.from_fractions([0.5, 0.3, 0.2]).label == \
+        "profile-0.5,0.3,0.2"
+    assert CapacityProfile.from_fractions([0, 0, 1]).label == "profile-0,0,1"
+    pmf = regular(2)
+    curves = (solve_G_capless(pmf, pmf, 1e-2),
+              solve_G_fixed_capacity(pmf, pmf, 3, 1e-2),
+              solve_G_general_capacity(
+                  pmf, pmf, CapacityProfile.from_fractions([0.5, 0.3, 0.2]), 1e-2))
+    assert [c.capacity for c in curves] == ["none", "fixed-3", "profile-0.5,0.3,0.2"]
+
+
+def test_fixed_profile_is_the_point_mass():
+    for C in (1, 2, 5):
+        fixed = CapacityProfile.fixed(C)
+        point = CapacityProfile.from_fractions([0.0] * (C - 1) + [1.0])
+        assert np.array_equal(fixed.p, point.p) and fixed.mean_cap == C
+    assert np.array_equal(UNIT_CAPACITY.p, CapacityProfile.fixed(1).p)
+    with pytest.raises(ValueError):
+        CapacityProfile.fixed(0)
+
+
+def test_profile_capacities_rounding():
+    prof = CapacityProfile.from_fractions([0.5, 0.5])
+    caps = prof.capacities(10)
+    assert sorted(caps.tolist()) == [1] * 5 + [2] * 5
+    caps_odd = prof.capacities(9)
+    assert sorted(set(caps_odd.tolist())) == [1, 2]
+    assert len(caps_odd) == 9
+    with pytest.raises(ValueError):
+        CapacityProfile.from_fractions([0.7, 0.7])
+    # the first round(n * cdf[1]) vertices get capacity 1, and so on
+    prof = CapacityProfile.from_fractions([0.5, 0.3, 0.2])
+    for n in (1, 2, 3, 7, 10, 333, 1000):
+        caps = prof.capacities(n)
+        assert caps.dtype == np.int64 and caps.shape == (n,)
+        assert np.all(np.diff(caps) >= 0)
+        bounds = [math.floor(c * n + 0.5) for c in prof.cdf[1:]]
+        counts = np.bincount(caps, minlength=4)[1:]
+        assert counts.tolist() == [bounds[0], bounds[1] - bounds[0],
+                                   n - bounds[1]]
+    assert CapacityProfile.fixed(3).capacities(4).tolist() == [3, 3, 3, 3]
+    assert UNIT_CAPACITY.capacities(3).tolist() == [1, 1, 1]
 
 
 def test_mixed_profile_against_monte_carlo():
@@ -155,7 +214,7 @@ def test_mixed_profile_against_monte_carlo():
     fractions = []
     for seed in range(5):
         seq = sample_degree_sequences(pu, pv, 10_000, seed=seed)
-        caps = capacities_from_profile(prof.fractions, seq.n_offline)
+        caps = prof.capacities(seq.n_offline)
         traj = run_policy(seq, caps, GREEDY, seed=seed, checkpoint_every=10**9)
         fractions.append(traj.final_matched / traj.capacity_total)
     assert abs(np.mean(fractions) - curve.endpoint) <= 0.01

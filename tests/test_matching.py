@@ -7,11 +7,10 @@ import pytest
 
 from cmatch import poisson, regular
 from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
-                             SMALLEST, capacities_from_profile, choice_events,
-                             final_matched_counts, histograms_at,
-                             matched_fraction_at, run_policy,
+                             SMALLEST, choice_events, final_matched_counts,
+                             histograms_at, matched_fraction_at, run_policy,
                              write_trajectory_csv)
-from cmatch.fluid import solve_full_system
+from cmatch.fluid import UNIT_CAPACITY, CapacityProfile, solve_full_system
 from cmatch.stream import (DegreeSequencePair, pair_half_edges, pairing_stream,
                            sample_degree_sequences)
 
@@ -56,6 +55,23 @@ def test_unknown_policy_and_bad_capacities():
         run_policy(seq, [1], GREEDY, seed=0)
     with pytest.raises(ValueError):
         run_policy(seq, [1, 0], GREEDY, seed=0)
+    for caps in ([[1, 1]], [1, 1, 1], np.ones((2, 1)), [2, 0.5]):
+        with pytest.raises(ValueError):
+            run_policy(seq, caps, GREEDY, seed=0)
+        with pytest.raises(ValueError):
+            final_matched_counts(seq, caps, runs=1, seed=0)
+
+
+@pytest.mark.parametrize("policy", [GREEDY, RANKING, SMALLEST, HIGHEST])
+def test_profile_arrays_run_as_none_and_int(policy):
+    seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 400, seed=8)
+    n = seq.n_offline
+    for short, profile in ((None, UNIT_CAPACITY), (3, CapacityProfile.fixed(3))):
+        a = run_policy(seq, short, policy, seed=8)
+        b = run_policy(seq, profile.capacities(n), policy, seed=8)
+        assert np.array_equal(a.chosen, b.chosen)
+        assert np.array_equal(a.caps, b.caps)
+        assert a.capacity_total == b.capacity_total
 
 
 def test_greedy_matches_first_free_endpoint_exactly():
@@ -184,7 +200,7 @@ def _capacities(kind, n):
         return None, [1] * n
     if kind == "fixed-2":
         return 2, [2] * n
-    caps = capacities_from_profile([0.5, 0.3, 0.2], n)
+    caps = CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(n)
     return caps, caps.tolist()
 
 
@@ -405,16 +421,6 @@ def test_ranking_permutation_is_uniform_over_seeds():
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_capacities_from_profile_rounding():
-    caps = capacities_from_profile([0.5, 0.5], 10)
-    assert sorted(caps.tolist()) == [1] * 5 + [2] * 5
-    caps_odd = capacities_from_profile([0.5, 0.5], 9)
-    assert sorted(set(caps_odd.tolist())) == [1, 2]
-    assert len(caps_odd) == 9
-    with pytest.raises(ValueError):
-        capacities_from_profile([0.7, 0.7], 10)
 
 
 def test_trajectory_monotone_unit_increments():
