@@ -3,8 +3,11 @@ comparisons and the capacity-merge study, with CSV/JSON emission.
 
 Subcommands: ``fluid | simulate | compare | capacity-merge``. Each accepts
 ``--config <json>`` and/or ``--preset <name>`` plus ``--seed`` / ``--out``
-overrides. Run seeds are ``seed_base + run_index``, so outputs are
-reproducible byte for byte (the summary JSON carries the only timestamp).
+overrides. ``--seed`` sets ``seed_base``; run seeds are
+``seed_base + run_index``, so outputs are reproducible byte for byte (the
+summary JSON carries the only timestamp). A command given a field it does
+not read, set away from its default, exits 2 naming the field: ``fluid``
+draws nothing, so ``fluid --seed 3`` exits 2 naming ``seed_base``.
 Exit codes: 0 success, 2 configuration error, 1 runtime failure (including
 any failed ``simulate`` run, after its summary is written).
 """
@@ -191,6 +194,16 @@ def load_config(config_path: str | None, preset: str | None,
 
 
 _ENTRY_FIELDS = ("model_u", "model_v", "capacities")
+_SHARED_FIELDS = ("experiment", "outputs", "step", "model_u", "model_v")
+_RUN_FIELDS = ("n_values", "runs", "seed_base")
+# The config fields each command reads; every other field must keep its
+# default, or the command exits 2 rather than silently ignore it.
+_COMMAND_FIELDS = {
+    "fluid": (*_SHARED_FIELDS, "capacities", "models"),
+    "simulate": (*_SHARED_FIELDS, "capacities", *_RUN_FIELDS, "policies"),
+    "compare": (*_SHARED_FIELDS, "capacities", *_RUN_FIELDS, "policies"),
+    "capacity-merge": (*_SHARED_FIELDS, *_RUN_FIELDS, "merge_capacity"),
+}
 _CAPACITY_SPECS = {"none": (), "fixed": ("C",), "profile": ("p",)}
 
 
@@ -206,6 +219,18 @@ def _capacity_profile(spec) -> CapacityProfile:
         spec, "p", degrees._is_real_list, "a list of numbers"))
 
 
+def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
+    """Raise a ConfigError naming every field ``command`` does not read
+    whose value differs from its default."""
+    default = ExperimentConfig()
+    unread = [name for name in ExperimentConfig.__dataclass_fields__
+              if name not in _COMMAND_FIELDS[command]
+              and getattr(cfg, name) != getattr(default, name)]
+    if unread:
+        raise ConfigError(f"'{command}' does not read field(s) "
+                          f"{', '.join(repr(n) for n in unread)}")
+
+
 def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
     """(pmf_u, pmf_v, profile) of one model, each built from ``entry``
     where it names it and from ``cfg`` otherwise; a ConfigError names the
@@ -215,7 +240,7 @@ def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
                                            _capacity_profile)):
         try:
             built.append(build(entry.get(name, getattr(cfg, name))))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field '{where}{name}': {exc}") from exc
     return tuple(built)
 
@@ -429,13 +454,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.preset, args.seed, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if cfg.models is not None and args.command != "fluid":
-            raise ConfigError(f"field 'models' is read only by 'fluid', "
-                              f"not by '{args.command}'")
+        _check_fields_read(cfg, args.command)
         outcome = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,8 +21,9 @@ import numpy as np
 _INPUT_TOL = 1e-9
 # Slack around [0, 1] accepted on evaluation points before rejecting.
 _DOMAIN_TOL = 1e-12
-# Largest Poisson support built; far past any mean a simulation can use.
-_POISSON_MAX_SUPPORT = 1_000_000
+# Largest support built for any law, degree or capacity; far past any mean
+# a simulation can use.
+_MAX_SUPPORT = 1_000_000
 # Tail mass beyond a truncated Poisson support.
 _POISSON_TAIL_EPS = 1e-12
 # Intervals of the uniform grid on which dominates compares two series.
@@ -37,19 +38,26 @@ def _unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _horner(rev_coeffs: tuple, x: float) -> float:
-    """Scalar polynomial value at x, coefficients from the highest degree
-    down; the empty tuple is the zero polynomial."""
+def _unit_array(x: np.ndarray) -> np.ndarray:
+    """Validate an array of evaluation points, clamping as :func:`_unit`."""
+    if np.any(x < -_DOMAIN_TOL) or np.any(x > 1.0 + _DOMAIN_TOL):
+        raise ValueError("evaluation points outside [0, 1]")
+    return np.clip(x, 0.0, 1.0)
+
+
+def _points(s):
+    """Validated evaluation points: an array for an array, else a float."""
+    return _unit_array(s) if isinstance(s, np.ndarray) else _unit(s)
+
+
+def _horner(rev_coeffs: tuple, x):
+    """Polynomial value at a float or elementwise on an array x,
+    coefficients from the highest degree down; the empty tuple is the zero
+    polynomial."""
     acc = 0.0
     for c in rev_coeffs:
         acc = acc * x + c
     return acc
-
-
-def _unit_array(x: np.ndarray) -> np.ndarray:
-    if np.any(x < -_DOMAIN_TOL) or np.any(x > 1.0 + _DOMAIN_TOL):
-        raise ValueError("evaluation points outside [0, 1]")
-    return np.clip(x, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +74,11 @@ class DegreePMF:
     mean: float
     variance: float
     label: str
-    # Scalar Horner coefficients, highest degree first, built once per law:
-    # the probabilities, and the tail sums P(X > j), j = 0..k_max-1, which
-    # are the coefficients of the exact polynomial form of h(q) (its value
-    # at 1 is the mean). Reversed derivative coefficients are cached per
-    # order on first use; an order above k_max gives the empty tuple.
-    _rev_probs: tuple = field(repr=False)
+    # Horner coefficients, highest degree first: the tail sums P(X > j),
+    # j = 0..k_max-1, built once per law, which are the coefficients of the
+    # exact polynomial form of h(q) (its value at 1 is the mean); and those
+    # of phi's order-th derivative, cached per order on first use (order 0
+    # is phi itself; an order above k_max gives the empty tuple).
     _rev_tail: tuple = field(repr=False)
     _cdf: np.ndarray = field(repr=False)
     _deriv_cache: dict = field(default_factory=dict, repr=False)
@@ -84,9 +91,7 @@ class DegreePMF:
 
     def pgf(self, s):
         """Generating series ``sum_k p_k s^k`` for scalar or array s in [0, 1]."""
-        if isinstance(s, np.ndarray):
-            return np.polynomial.polynomial.polyval(_unit_array(s), self.probs)
-        return _horner(self._rev_probs, _unit(s))
+        return _horner(self._deriv_rev(0), _points(s))
 
     def pgf_deriv(self, s, order: int = 1):
         """Order-th derivative of the generating series at s.
@@ -97,9 +102,7 @@ class DegreePMF:
             raise ValueError("derivative order must be >= 1")
         if order > self.k_max:
             return np.zeros_like(s, dtype=float) if isinstance(s, np.ndarray) else 0.0
-        if isinstance(s, np.ndarray):
-            return np.polynomial.polynomial.polyval(_unit_array(s), self._deriv_coeffs(order))
-        return _horner(self._deriv_rev(order), _unit(s))
+        return _horner(self._deriv_rev(order), _points(s))
 
     def h_ratio(self, q: float) -> float:
         """Match-intensity ratio ``(1 - phi(q)) / (1 - q)``.
@@ -128,25 +131,16 @@ class DegreePMF:
 
     # -- cached derivative coefficients -----------------------------------
 
-    def _deriv_coeffs(self, order: int) -> np.ndarray:
-        coeffs = self._deriv_cache.get(order)
-        if coeffs is None:
-            coeffs = self.probs.astype(float)
-            for _ in range(order):
-                coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-            coeffs = coeffs.copy()
-            coeffs.setflags(write=False)
-            self._deriv_cache[order] = coeffs
-        return coeffs
-
     def _deriv_rev(self, order: int) -> tuple:
         """Plain-float tuple of the order-th derivative's coefficients,
         highest degree first, for :func:`_horner`."""
-        key = ("rev", order)
-        cached = self._deriv_cache.get(key)
+        cached = self._deriv_cache.get(order)
         if cached is None:
-            cached = tuple(float(c) for c in self._deriv_coeffs(order)[::-1])
-            self._deriv_cache[key] = cached
+            coeffs = self.probs
+            for _ in range(order):
+                coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+            cached = tuple(float(c) for c in coeffs[::-1])
+            self._deriv_cache[order] = cached
         return cached
 
 
@@ -174,15 +168,14 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     probs.setflags(write=False)
     cdf.setflags(write=False)
     return DegreePMF(probs=probs, mean=mean, variance=max(variance, 0.0),
-                     label=label,
-                     _rev_probs=tuple(float(p) for p in probs[::-1]),
-                     _rev_tail=tuple(float(t) for t in tail[::-1]), _cdf=cdf)
+                     label=label, _rev_tail=tuple(float(t) for t in tail[::-1]),
+                     _cdf=cdf)
 
 
 def regular(d: int) -> DegreePMF:
     """Point mass at degree d (d-regular side)."""
-    if d < 1:
-        raise ValueError("regular degree must be >= 1")
+    if not 1 <= d <= _MAX_SUPPORT:
+        raise ValueError(f"regular degree must lie in [1, {_MAX_SUPPORT}]")
     probs = np.zeros(d + 1)
     probs[d] = 1.0
     return _build(probs, f"regular-{d}")
@@ -201,9 +194,9 @@ def poisson(c: float) -> DegreePMF:
     # 40 standard deviations (plus 100) past the mean: the mass beyond is
     # below 1e-60, so the top-down tail sums are exact to rounding.
     k_hi = int(c + 40.0 * math.sqrt(c) + 100.0)
-    if k_hi > _POISSON_MAX_SUPPORT:
+    if k_hi > _MAX_SUPPORT:
         raise ValueError(f"poisson parameter {c!r} too large: support would "
-                         f"exceed {_POISSON_MAX_SUPPORT} degrees")
+                         f"exceed {_MAX_SUPPORT} degrees")
     log_c = math.log(c)
     terms = np.array([math.exp(k * log_c - c - math.lgamma(k + 1))
                       for k in range(k_hi + 1)])

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import DegreePMF, _horner, _unit, dominates, explicit
+from .degrees import (_MAX_SUPPORT, DegreePMF, _horner, _unit, dominates,
+                      explicit)
 
 _MAX_G_STEP = 1e-2
 _MAX_SYSTEM_STEP = 1e-3
@@ -89,8 +90,8 @@ class CapacityProfile:
     @classmethod
     def fixed(cls, C: int) -> "CapacityProfile":
         """Every offline vertex has capacity C."""
-        if C < 1:
-            raise ValueError("capacity must be >= 1")
+        if not 1 <= C <= _MAX_SUPPORT:
+            raise ValueError(f"capacity must lie in [1, {_MAX_SUPPORT}]")
         return replace(cls.from_fractions([0.0] * (C - 1) + [1.0]),
                        label=f"fixed-{C}")
 
@@ -137,17 +138,20 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     mu_u = pmf_u.mean
     mu_v = pmf_v.mean
     C = profile.max_capacity
-    weights = [1.0 - float(profile.cdf[k]) for k in range(C)]
+    # phi_u^{(k)} is identically 0 for k > k_max, so only the first
+    # k_max + 1 levels of the matched sum, and k_max of the slope, count.
+    levels = min(C, pmf_u.k_max + 1)
     coeffs = []
-    for k in range(C):
+    for k in range(levels):
         acc = 0.0
         for c in range(1, C - k + 1):
             acc += c * float(profile.p[c + k])
         coeffs.append(acc / profile.mean_cap)
 
     # Bound once per solve: each stage then makes one domain check and one
-    # Horner pass per capacity level, with no method dispatch.
-    terms = [(w, pmf_u._deriv_rev(k + 1)) for k, w in enumerate(weights)]
+    # Horner pass per contributing level, with no method dispatch.
+    terms = [(1.0 - float(profile.cdf[k]), pmf_u._deriv_rev(k + 1))
+             for k in range(min(C, pmf_u.k_max))]
     h_v = pmf_v._h_core
 
     def slope(s: float, g: float) -> float:
@@ -169,8 +173,7 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     for k, ak in enumerate(coeffs):
         if k:
             gk = gk * G / k
-        term = pmf_u.pgf(x) if k == 0 else pmf_u.pgf_deriv(x, k)
-        total += ak * gk * term
+        total += ak * gk * _horner(pmf_u._deriv_rev(k), x)
     return FluidCurve(grid=np.arange(n_steps + 1) / n_steps, G=G,
                       matched=1.0 - total, model_u=pmf_u.label,
                       model_v=pmf_v.label, capacity=profile.label, step=h)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmatch.bench_cli import (PRESETS, SUMMARY_SCHEMA, ConfigError,
                               cmd_capacity_merge, cmd_compare, cmd_fluid,
@@ -78,6 +80,77 @@ def test_overrides_apply(tmp_path):
     cfg = load_config(path, None, 99, str(tmp_path / "elsewhere"))
     assert cfg.seed_base == 99
     assert cfg.outputs.endswith("elsewhere")
+
+
+_JUNK = [None, True, False, 0, -1, 2.5, float("nan"), float("inf"),
+         float("-inf"), 10**12, -10**12, 10**400, 1e300, "", "x", [], {}]
+
+
+def _junk():
+    """Wrong types, bools, non-finite and giant numbers, and nested junk."""
+    return st.sampled_from(_JUNK) | st.recursive(
+        st.sampled_from(_JUNK),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["kind", "d", "c", "probs", "C", "p",
+                                           "model_u", "x"]), inner, max_size=3),
+        max_leaves=6)
+
+
+def _law():
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("regular"),
+                               "d": st.integers(1, 6) | _junk()}),
+        st.fixed_dictionaries({"kind": st.just("poisson"),
+                               "c": st.floats(0.1, 6.0) | _junk()}),
+        st.fixed_dictionaries({"kind": st.just("explicit"),
+                               "probs": st.just([0.25, 0.75]) | _junk()}),
+        _junk())
+
+
+def _capacities():
+    return st.one_of(
+        st.just({"kind": "none"}),
+        st.fixed_dictionaries({"kind": st.just("fixed"),
+                               "C": st.integers(1, 5) | _junk()}),
+        st.fixed_dictionaries({"kind": st.just("profile"),
+                               "p": st.just([0.5, 0.5]) | _junk()}),
+        _junk())
+
+
+_VALID_FIELDS = {
+    "experiment": st.text(max_size=8),
+    "outputs": st.text(max_size=8),
+    "model_u": _law(),
+    "model_v": _law(),
+    "models": st.lists(st.fixed_dictionaries(
+        {}, optional={"model_u": _law(), "model_v": _law(),
+                      "capacities": _capacities()}), max_size=2),
+    "n_values": st.lists(st.integers(1, 1000), min_size=1, max_size=3),
+    "runs": st.integers(1, 5),
+    "policies": st.lists(st.sampled_from(["greedy", "ranking", "smallest"]),
+                         max_size=3),
+    "capacities": _capacities(),
+    "merge_capacity": st.integers(1, 4),
+    "seed_base": st.integers(0, 100),
+    "step": st.floats(1e-4, 1e-2),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({}, optional=_VALID_FIELDS),
+       st.dictionaries(st.sampled_from(sorted(_VALID_FIELDS)), _junk(),
+                       max_size=2),
+       st.sampled_from([None, *PRESETS]))
+def test_load_config_returns_or_raises_config_error(tmp_path_factory, valid,
+                                                    junk, preset):
+    # valid fields with at most two overwritten by junk, so each check is
+    # reached; nested junk also comes through the spec sub-fields
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps({**valid, **junk}))
+    try:
+        load_config(str(path), preset, None, None)
+    except ConfigError:
+        pass
 
 
 def test_presets_all_validate():
@@ -340,6 +413,44 @@ def test_models_outside_fluid_is_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, argv, fields, named", [
+    ("fluid", ["--seed", "3"], {}, ["seed_base"]),
+    ("fluid", [], {"n_values": [200], "runs": 2, "policies": ["ranking"]},
+     ["n_values", "runs", "policies"]),
+    ("fluid", [], {"merge_capacity": 3}, ["merge_capacity"]),
+    ("capacity-merge", [], {"capacities": {"kind": "fixed", "C": 3},
+                            "policies": ["ranking"]}, ["capacities", "policies"]),
+    ("simulate", [], {"merge_capacity": 3}, ["merge_capacity"]),
+    ("compare", [], {"policies": ["greedy", "ranking"], "merge_capacity": 1},
+     ["merge_capacity"]),
+])
+def test_unread_field_is_exit_2(tmp_path, capsys, command, argv, fields, named):
+    cfg = {"experiment": "x", "outputs": str(tmp_path / "o"), "step": 1e-2,
+           **fields}
+    path = _write_config(tmp_path, cfg)
+    assert main([command, "--config", path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"'{command}'" in err
+    assert all(name in err for name in named)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, spec, words", [
+    ("model_u", {"kind": "regular", "d": 10**12}, "1000000"),
+    ("model_v", {"kind": "poisson", "c": 10**12}, "1000000"),
+    ("capacities", {"kind": "fixed", "C": 10**12}, "1000000"),
+    # past any float: Python's json reads the integer exactly
+    ("model_u", {"kind": "poisson", "c": 10**400}, "too large"),
+])
+def test_giant_support_is_exit_2(tmp_path, capsys, field, spec, words):
+    path = _write_config(tmp_path, {"experiment": "x", field: spec,
+                                    "outputs": str(tmp_path / "o")})
+    assert main(["fluid", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert field in err and words in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatch):
     from cmatch import bench_cli
 
@@ -352,9 +463,11 @@ def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatc
 
     monkeypatch.setattr(bench_cli, "run_policy", spy)
     for command in ("simulate", "compare", "capacity-merge"):
-        path = _write_config(tmp_path, _tiny_simulate_config(
-            tmp_path / command, policies=["greedy", "ranking"], n_values=[100]),
-            name=f"{command}.json")
+        cfg = _tiny_simulate_config(
+            tmp_path / command, policies=["greedy", "ranking"], n_values=[100])
+        if command == "capacity-merge":
+            del cfg["policies"]
+        path = _write_config(tmp_path, cfg, name=f"{command}.json")
         assert main([command, "--config", path]) == 0
     # simulate and compare: 2 policies x 2 runs; capacity-merge: 2 x 2 runs
     assert len(steps) == 12
@@ -459,8 +572,9 @@ def test_fluid_endpoint_keys_name_each_capacity_kind(tmp_path):
     entries = [{"model_u": law, "model_v": law, "capacities": caps}
                for caps in ({"kind": "none"}, {"kind": "fixed", "C": 3},
                             {"kind": "profile", "p": [0.5, 0.3, 0.2]})]
-    path = _write_config(tmp_path, _tiny_simulate_config(
-        tmp_path / "o", models=entries, step=1e-2))
+    cfg = _tiny_simulate_config(tmp_path / "o", models=entries, step=1e-2)
+    del cfg["n_values"], cfg["runs"]
+    path = _write_config(tmp_path, cfg)
     assert main(["fluid", "--config", path]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert sorted(summary["fluid_endpoints"]) == [

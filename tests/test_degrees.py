@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from cmatch.degrees import dominates, explicit, from_spec, poisson, regular
 
@@ -211,7 +211,7 @@ def test_h_ratio_matches_the_ratio_form_just_below_one(pmf):
 
 
 # ---------------------------------------------------------------------------
-# scalar Horner core against the array path
+# one Horner core for scalar and array points
 
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      database=None)
@@ -231,12 +231,15 @@ def _close(a, b):
 
 @_PROPERTY
 @given(explicit_laws(), st.floats(0.0, 1.0))
-def test_scalar_pgf_and_derivs_match_array_path(pmf, x):
-    assert _close(pmf.pgf(x), polyval(x, pmf.probs))
-    for order in (1, 2, 3):
-        ref = (polyval(x, pmf._deriv_coeffs(order))
-               if order <= pmf.k_max else 0.0)
-        assert _close(pmf.pgf_deriv(x, order), ref)
+def test_pgf_and_derivs_match_polyder_at_scalar_and_array_points(pmf, x):
+    # polyder of the raw probabilities is an independent reference; every
+    # order past k_max is the zero polynomial
+    for order in range(pmf.k_max + 3):
+        value = pmf.pgf(x) if order == 0 else pmf.pgf_deriv(x, order)
+        assert _close(value, polyval(x, polyder(pmf.probs, order)))
+        at = np.array([x, 0.5 * x])
+        values = pmf.pgf(at) if order == 0 else pmf.pgf_deriv(at, order)
+        assert values[0] == value
 
 
 @_PROPERTY

@@ -114,6 +114,17 @@ def test_fixed_capacity_rejects_zero():
         solve_G_fixed_capacity(regular(2), regular(2), 0, 1e-3)
 
 
+def test_capacity_past_the_degree_changes_nothing():
+    # phi_u^(k) is 0 for k > k_max, so levels past it add exact zeros: G is
+    # the same for every C >= 4, and with spare capacity everywhere every
+    # arrival matches, so the endpoint per unit of capacity is 1/C
+    pmf = regular(4)
+    curves = [solve_G_fixed_capacity(pmf, pmf, C, 1e-2) for C in (4, 50, 10**5)]
+    for C, curve in zip((4, 50, 10**5), curves):
+        assert np.array_equal(curve.G, curves[0].G)
+        assert abs(curve.endpoint * C - 1.0) <= 1e-9
+
+
 def test_two_regular_capacity_two_never_binds():
     # with capacity >= degree every arrival is served; the analytic value
     # of the normalized endpoint is exactly 1/2
