@@ -94,8 +94,9 @@ class ExperimentConfig:
         need(isinstance(self.experiment, str), "experiment", "a string")
         need(isinstance(self.outputs, str), "outputs", "a string")
         need(isinstance(self.n_values, list) and len(self.n_values) > 0
-             and all(is_int(n) and n >= 1 for n in self.n_values),
-             "n_values", "a nonempty list of integers >= 1")
+             and all(is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
+                     for n in self.n_values),
+             "n_values", f"a nonempty list of integers in [1, {degrees._MAX_SUPPORT}]")
         need(is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
         need(is_int(self.seed_base) and self.seed_base >= 0,
              "seed_base", "an integer >= 0")
@@ -384,6 +385,12 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     """Merge groups of C equal-degree vertices into one vertex of capacity C
     and compare greedy's normalized performance against the baseline."""
     c_merge = cfg.merge_capacity
+    # the merged law stretches model_u's support by c_merge; bound it before
+    # anything is written (validate cannot: other commands ignore c_merge)
+    support = degrees.from_spec(cfg.model_u).k_max * c_merge
+    if support > degrees._MAX_SUPPORT:
+        raise ConfigError(f"field 'merge_capacity': the merged law's support "
+                          f"{support} exceeds {degrees._MAX_SUPPORT} degrees")
     too_small = [n for n in cfg.n_values if n < c_merge]
     if too_small:
         raise ConfigError(f"field 'n_values': {too_small} leave no merged vertex "

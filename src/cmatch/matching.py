@@ -2,26 +2,24 @@
 
 Each run owns two independent random streams derived from its seed: the
 pairing stream draws the half-edge permutation that is the graph, the
-decision stream breaks policy ties. Policies therefore act on the identical
-realized multigraph for a fixed (sequence, seed), which sharpens paired
-comparisons. A run reads its permutation one arrival slice at a time and
-records only the endpoint each arrival chose; histograms and choice events
-are derived from that record. The bulk Monte Carlo path
+decision stream the policy's preferences. So every policy acts on the
+identical realized multigraph for a fixed (sequence, seed), which sharpens
+paired comparisons. Every policy is greedy over an order of preference on
+each arrival's endpoints that is fixed before the run, so one scan serves
+them all: each arrival takes the first endpoint in its order with capacity
+left. The run records only that choice; histograms and choice events are
+derived from the record. The bulk Monte Carlo path
 :func:`final_matched_counts` runs greedy over many permutations at once.
 
-Policies:
+Orders of preference (endpoints with equal keys go in uniform order):
 
-* ``greedy``   - match the arrival to the first revealed endpoint with spare
-  capacity (half-edge order, the order pairing produced them).
-* ``ranking``  - fix a uniform permutation of offline vertices up front;
-  match to the free revealed endpoint of minimal rank.
-* ``smallest`` / ``highest`` - lookahead baselines: free endpoint with the
-  minimal / maximal residual degree after this arrival's pairings, ties
-  broken uniformly from the decision stream.
-* ``biased_greedy`` - for arrivals whose free endpoints have pre-arrival
-  residual degree in {1, 2} only: prefer the degree-2 endpoint with a fixed
-  probability (default 2/3, the bias that replicates ranking's choice law
-  on 2-regular inputs).
+* ``greedy``   - pairing order, the order the arrival's half-edges paired.
+* ``ranking``  - a uniform permutation of the offline vertices, drawn once.
+* ``smallest`` / ``highest`` - lookahead baselines: minimal / maximal
+  residual degree after this arrival's pairings.
+* ``biased_greedy`` - offline degrees at most 2: one coin per arrival puts
+  pre-arrival residual 2 first with a fixed probability (default 2/3, which
+  replicates ranking's choice law on 2-regular inputs), else residual 1.
 """
 
 from __future__ import annotations
@@ -121,8 +119,9 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                bias: float = 2.0 / 3.0) -> Trajectory:
     """Run one policy over the streamed graph and record its decisions.
 
-    Deterministic given (seq, seed). The run keeps only its graph and the
-    endpoint each arrival chose (see :class:`Trajectory`).
+    One greedy scan of the row in the policy's order of preference
+    (:func:`_preference_order`), deterministic given (seq, seed). The run
+    keeps only its graph and each arrival's choice (:class:`Trajectory`).
     ``checkpoint_every`` only picks the report steps of ``checkpoints``: 0,
     every ``checkpoint_every`` arrivals, and T (by default 0 and T).
     """
@@ -131,31 +130,21 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     graph = build_full_graph(seq, seed)
-    rng_dec = decision_stream(seed)
     caps = _init_capacities(seq, capacities)
     initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
-
-    ranks = None
-    if policy == RANKING:
-        ranks = list(range(seq.n_offline))
-        rng_dec.shuffle(ranks)  # real vertices only; the balancing one is never free
-
-    # residual degree per offline vertex (balancing vertex last), kept only
-    # by the policies that read it
-    rem = (np.bincount(graph.row, minlength=seq.n_offline + 1).tolist()
-           if policy in (SMALLEST, HIGHEST, BIASED_GREEDY) else None)
-    ends = graph.row.tolist()
-    off = memoryview(seq.arrival_offsets)  # yields ints, holds no list of them
+    order = _preference_order(policy, graph, decision_stream(seed), bias)
+    # memoryviews yield ints as the scan goes and hold no list of them
+    ends = memoryview(graph.row if order is None else graph.row[order])
+    off = memoryview(seq.arrival_offsets)
     chosen = []
     for a, b in zip(off, off[1:]):
-        endpoints = ends[a:b]
-        if rem is not None:
-            for u in endpoints:
-                rem[u] -= 1
-        pick = _decide(policy, endpoints, caps, rem, ranks, rng_dec, bias)
-        if pick >= 0:
-            caps[pick] -= 1
-        chosen.append(pick)
+        for u in ends[a:b]:
+            if caps[u] > 0:
+                caps[u] -= 1
+                chosen.append(u)
+                break
+        else:
+            chosen.append(-1)
 
     chosen = np.array(chosen, dtype=np.int64)
     n_arr = seq.n_arrivals
@@ -167,42 +156,60 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                       policy=policy, seed=seed)
 
 
-def _decide(policy: str, endpoints: list, caps: list, rem: list,
-            ranks, rng_dec, bias: float) -> int:
-    """Pick the matched endpoint for one arrival, or -1 if none is free."""
+def _visits(seq: DegreeSequencePair, row: np.ndarray) -> tuple:
+    """The paired slots of ``row`` grouped by vertex, in pairing order
+    within a vertex: ``u = row[order]``, ``t`` each slot's arrival,
+    ``first`` marks a vertex's first slot in an arrival's slice (a visit),
+    ``pre`` its residual degree before that arrival paired its half-edges."""
+    paired = int(seq.arrival_offsets[-1])
+    pre = np.arange(paired)
+    # unique keys sort several times faster than a stable sort of the ids
+    order = np.argsort(row[:paired] * paired + pre)
+    u, t = row[order], seq.slot_arrival[order]
+    first = np.ones(paired, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (t[1:] != t[:-1])
+    # in place, like the keys below, to keep few slot-sized arrays alive
+    np.maximum.accumulate(pre * first, out=pre)  # the visit's first slot
+    pre -= np.searchsorted(u, u)
+    np.subtract(np.bincount(row)[u], pre, out=pre)
+    return order, u, t, pre, first
+
+
+def _preference_order(policy: str, graph: Multigraph, rng_dec, bias: float):
+    """Permutation of the paired slots of ``graph.row`` into the policy's
+    order of preference within each arrival's slice; None keeps pairing
+    order (greedy). Ties get one uniform rank per visit (see
+    :func:`_visits`): a vertex paired twice by one arrival holds one ticket."""
     if policy == GREEDY:
-        for u in endpoints:
-            if caps[u] > 0:
-                return u
-        return -1
-
-    free = [u for u in dict.fromkeys(endpoints) if caps[u] > 0]
-    if not free:
-        return -1
-
+        return None
+    seq, row, n = graph.seq, graph.row, graph.n_offline
+    paired = int(seq.arrival_offsets[-1])
     if policy == RANKING:
-        return min(free, key=ranks.__getitem__)
+        ranks = list(range(n))
+        rng_dec.shuffle(ranks)  # real vertices only; the balancing one is never free
+        rank = np.array(ranks + [n])
+        return np.argsort(seq.slot_arrival[:paired] * (n + 1) + rank[row[:paired]])
 
-    if policy in (SMALLEST, HIGHEST):
-        vals = [rem[u] for u in free]
-        best = min(vals) if policy == SMALLEST else max(vals)
-        ties = [u for u, v in zip(free, vals) if v == best]
+    order, u, t, pre, first = _visits(seq, row)
+    # each vertex is free when first revealed, at its full degree
+    if policy == BIASED_GREEDY and (pre[u < n] > 2).any():
+        raise ValueError("biased_greedy needs free endpoints of residual degree 1 or 2")
+    gen = np.random.default_rng(rng_dec.getrandbits(64))
+    visit = np.cumsum(first) - 1
+    del u, first
+    if policy == BIASED_GREEDY:
+        # one coin per arrival: residual-2 endpoints first with probability bias
+        level = (pre == 2) ^ (gen.random(seq.n_arrivals) < bias)[t]
     else:
-        # biased greedy, defined for residual degrees {1, 2} only; residuals
-        # are taken before this arrival paired its half-edges
-        pre = {u: rem[u] + endpoints.count(u) for u in free}
-        deg1 = [u for u in free if pre[u] == 1]
-        deg2 = [u for u in free if pre[u] == 2]
-        if len(deg1) + len(deg2) != len(free):
-            raise ValueError("biased_greedy needs free endpoints of residual degree 1 or 2")
-        if deg1 and deg2:
-            ties = deg2 if rng_dec.random() < bias else deg1
-        else:
-            ties = deg2 or deg1
-    # uniform among the ties; a lone candidate draws nothing
-    if len(ties) == 1:
-        return ties[0]
-    return ties[int(rng_dec.random() * len(ties))]
+        pre -= np.bincount(visit)[visit]  # residual after the arrival
+        level = pre if policy == SMALLEST else pre.max(initial=0) - pre
+    # t becomes the sort key (arrival, level, tie)
+    t *= int(level.max(initial=0)) + 1
+    t += level
+    del pre, level
+    t *= paired
+    t += gen.permutation(paired)[visit]
+    return order[np.argsort(t)]
 
 
 def final_matched_counts(seq: DegreeSequencePair, capacities=None,
@@ -275,22 +282,14 @@ def choice_events(traj: Trajectory) -> tuple:
     whose residual degrees before this arrival paired its half-edges are 1
     and 2; a win is an event where the degree-2 endpoint was chosen.
     """
-    seq, row = traj.graph.seq, traj.graph.row
-    paired = seq.arrival_offsets[-1]
-    # paired half-edges grouped by vertex, in pairing order within a vertex
-    order = np.argsort(row[:paired], kind="stable")
-    u, t = row[order], seq.slot_arrival[order]
-    start = np.searchsorted(u, u)
-    earlier = np.arange(u.size) - start  # the vertex's half-edges paired before
-    # a vertex's first half-edge in an arrival's slice stands for it in that
+    _, u, t, pre, first = _visits(traj.graph.seq, traj.graph.row)
+    # a vertex's first slot in an arrival's slice stands for it in that
     # decision, which saw it free unless earlier picks used up its capacity
-    first = earlier == 0
-    first[1:] |= t[1:] != t[:-1]
     picked = first & (traj.chosen[t] == u)
     picks_before = np.cumsum(picked) - picked
-    live = first & (picks_before - picks_before[start] < np.append(traj.caps, 0)[u])
-    t, u = t[live], u[live]
-    pre = seq.deg_u[u] - earlier[live]  # residual degree before the arrival
+    used = picks_before - picks_before[np.searchsorted(u, u)]  # u's earlier picks
+    live = first & (used < np.append(traj.caps, 0)[u])
+    t, u, pre = t[live], u[live], pre[live]
     offered = np.bincount(t, minlength=traj.n_arrivals)
     pre_sum = np.bincount(t, weights=pre, minlength=traj.n_arrivals)
     # residual degrees are at least 1, so two adding up to 3 are {1, 2}

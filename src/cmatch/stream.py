@@ -179,11 +179,6 @@ class Multigraph:
         ends, off = self.row.tolist(), self.seq.arrival_offsets.tolist()
         return tuple(tuple(ends[a:b]) for a, b in zip(off, off[1:]))
 
-    @property
-    def leftover(self) -> tuple:
-        """Offline endpoints of the balancing arrival."""
-        return tuple(self.row[self.seq.arrival_offsets[-1]:].tolist())
-
     def real_edges(self) -> list:
         """Real edges (v, u) in pairing order, multiplicity retained."""
         v, u = np.divmod(self._real_keys(), self.n_offline)

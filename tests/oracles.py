@@ -147,3 +147,51 @@ def brute_force_max_b_matching(edges, n_u: int, n_v: int, capacities) -> int:
 
 def brute_force_max_matching(edges, n_u: int, n_v: int) -> int:
     return brute_force_max_b_matching(edges, n_u, n_v, [1] * n_u)
+
+
+def exhaustive_lookahead_expectation(deg_u, deg_v, policy: str,
+                                     capacities=None) -> Fraction:
+    """Exact expectation of a lookahead baseline's final matched count,
+    enumerating every pairing sequence with its probability.
+
+    Each arrival pairs all its half-edges first. Among its distinct
+    endpoints with spare capacity, ``"smallest"`` then matches one of
+    minimal and ``"highest"`` one of maximal residual degree after those
+    pairings, each tied endpoint with equal probability.
+    """
+    rem = [int(d) for d in deg_u]
+    caps = [1] * len(rem) if capacities is None else [int(c) for c in capacities]
+    deg_v = [int(d) for d in deg_v]
+    n_u = len(rem)
+    best_of = {"smallest": min, "highest": max}[policy]
+
+    def decide(v_idx: int, ends: tuple, matched: int) -> Fraction:
+        free = sorted({u for u in ends if caps[u] > 0})
+        if not free:
+            return go(v_idx + 1, 0, (), matched)
+        best = best_of(rem[u] for u in free)
+        ties = [u for u in free if rem[u] == best]
+        total = Fraction(0)
+        for u in ties:
+            caps[u] -= 1
+            total += go(v_idx + 1, 0, (), matched + 1)
+            caps[u] += 1
+        return total / len(ties)
+
+    def go(v_idx: int, h_idx: int, ends: tuple, matched: int) -> Fraction:
+        if v_idx == len(deg_v):
+            return Fraction(matched)
+        live = sum(rem)
+        if h_idx == deg_v[v_idx] or live == 0:
+            return decide(v_idx, ends, matched)
+        total = Fraction(0)
+        for u in range(n_u):
+            if rem[u] == 0:
+                continue
+            w = Fraction(rem[u], live)
+            rem[u] -= 1
+            total += w * go(v_idx, h_idx + 1, ends + (u,), matched)
+            rem[u] += 1
+        return total
+
+    return go(0, 0, (), 0)

@@ -441,11 +441,17 @@ def test_unread_field_is_exit_2(tmp_path, capsys, command, argv, fields, named):
     ("capacities", {"kind": "fixed", "C": 10**12}, "1000000"),
     # past any float: Python's json reads the integer exactly
     ("model_u", {"kind": "poisson", "c": 10**400}, "too large"),
+    ("n_values", [10**12], "1000000"),
+    ("merge_capacity", 10**12, "1000000"),
+    # below the bound itself, but it stretches regular-2 to 1.2e6 degrees
+    ("merge_capacity", 600_000, "1000000"),
 ])
 def test_giant_support_is_exit_2(tmp_path, capsys, field, spec, words):
+    command = {"n_values": "simulate", "merge_capacity": "capacity-merge"}.get(
+        field, "fluid")
     path = _write_config(tmp_path, {"experiment": "x", field: spec,
                                     "outputs": str(tmp_path / "o")})
-    assert main(["fluid", "--config", path]) == 2
+    assert main([command, "--config", path]) == 2
     err = capsys.readouterr().err
     assert field in err and words in err
     assert not (tmp_path / "o").exists()

@@ -11,10 +11,11 @@ from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                              histograms_at, matched_fraction_at, run_policy,
                              write_trajectory_csv)
 from cmatch.fluid import UNIT_CAPACITY, CapacityProfile, solve_full_system
-from cmatch.stream import (DegreeSequencePair, pair_half_edges, pairing_stream,
-                           sample_degree_sequences)
+from cmatch.stream import (DegreeSequencePair, decision_stream, pair_half_edges,
+                           pairing_stream, sample_degree_sequences)
 
-from oracles import exhaustive_greedy_expectation, tiny_instances
+from oracles import (exhaustive_greedy_expectation,
+                     exhaustive_lookahead_expectation, tiny_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,8 @@ def _capacities(kind, n):
 
 def _walk_record(traj, seq, initial_caps):
     """Replay the row and the decisions with plain dicts. Returns the
-    histograms at every step 0..T and checks each decision on the way."""
+    histograms at every step 0..T and checks each decision on the way,
+    against its policy's rule too (ranking has its own replay below)."""
     n = seq.n_offline
     rem = dict(enumerate(seq.deg_u.tolist()))
     left = dict(enumerate(initial_caps))
@@ -226,15 +228,25 @@ def _walk_record(traj, seq, initial_caps):
             break
         endpoints = row[off:off + int(seq.deg_v[t])]
         off += len(endpoints)
+        free = [u for u in endpoints if u < n and left[u] > 0]
+        pre = {u: rem[u] for u in free}
         for u in endpoints:
             if u < n:
                 rem[u] -= 1
         pick = int(traj.chosen[t])
         if pick < 0:
-            assert all(u == n or left[u] == 0 for u in endpoints)
-        else:
-            assert pick in endpoints and left[pick] > 0
-            left[pick] -= 1
+            assert not free
+            continue
+        assert pick in free
+        left[pick] -= 1
+        if traj.policy == GREEDY:
+            assert pick == free[0]
+        elif traj.policy == SMALLEST:
+            assert rem[pick] == min(rem[u] for u in free)
+        elif traj.policy == HIGHEST:
+            assert rem[pick] == max(rem[u] for u in free)
+        elif traj.policy == BIASED_GREEDY:
+            assert {pre[u] for u in free} <= {1, 2}
     return hists
 
 
@@ -259,6 +271,52 @@ def test_histograms_derive_exactly_from_the_record(policy, cap_kind):
         for outside in (-1, t_end + 1):
             with pytest.raises(KeyError):
                 histograms_at(traj, outside)
+
+
+@pytest.mark.parametrize("cap_kind", ["none", "fixed-2", "profile"])
+def test_ranking_takes_the_free_endpoint_of_least_rank(cap_kind):
+    for k, seq in enumerate(_record_instances(RANKING)):
+        caps, left = _capacities(cap_kind, seq.n_offline)
+        traj = run_policy(seq, caps, RANKING, seed=k)
+        rank = list(range(seq.n_offline))
+        decision_stream(k).shuffle(rank)
+        row, off = traj.graph.row.tolist(), seq.arrival_offsets.tolist()
+        for a, b, pick in zip(off, off[1:], traj.chosen.tolist()):
+            free = [u for u in row[a:b] if u < seq.n_offline and left[u] > 0]
+            if not free:
+                assert pick == -1
+                continue
+            assert pick == min(free, key=rank.__getitem__)
+            left[pick] -= 1
+
+
+# Seeds 0..LOOKAHEAD_RUNS-1 per instance; the Monte Carlo mean must lie
+# within LOOKAHEAD_SE standard errors of the exact expectation.
+LOOKAHEAD_RUNS = 2000
+LOOKAHEAD_SE = 4.0
+
+
+@pytest.mark.parametrize("policy", [SMALLEST, HIGHEST])
+@pytest.mark.parametrize("deg_u, deg_v", [
+    ((2, 2, 1), (2, 2, 1)),
+    ((3, 2, 1), (2, 2, 2)),
+    ((3, 2, 1), (1, 2, 3)),
+])
+def test_lookahead_mean_matches_exact_enumeration(deg_u, deg_v, policy):
+    exact = float(exhaustive_lookahead_expectation(deg_u, deg_v, policy))
+    seq = DegreeSequencePair.from_degrees(deg_u, deg_v)
+    finals = np.array([run_policy(seq, None, policy, seed=s).final_matched
+                       for s in range(LOOKAHEAD_RUNS)])
+    se = finals.std() / math.sqrt(LOOKAHEAD_RUNS)
+    assert abs(finals.mean() - exact) <= LOOKAHEAD_SE * se
+
+
+def test_a_vertex_paired_twice_holds_one_tie_ticket():
+    # the one arrival pairs every half-edge: both vertices end at residual
+    # 0, so the tie is even although vertex 0 fills two of its three slots
+    seq = DegreeSequencePair.from_degrees([2, 1], [3])
+    picks = [run_policy(seq, None, SMALLEST, seed=s).chosen[0] for s in range(5000)]
+    assert abs(np.mean(np.array(picks) == 0) - 0.5) <= 0.02
 
 
 def _counted_choice_events(traj):

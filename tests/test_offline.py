@@ -115,7 +115,8 @@ def test_capacity_array_validation():
 
 def test_empty_graph():
     g = _graph([0, 0], [], [])
-    assert g.adjacency == () and g.leftover == () and g.n_offline == 2
+    assert g.adjacency == () and g.n_offline == 2
+    assert g.row[g.seq.arrival_offsets[-1]:].size == 0
     assert max_matching(g).size == 0
     assert max_b_matching(g, [1, 1]).size == 0
 

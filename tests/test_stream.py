@@ -110,7 +110,7 @@ def test_pool_never_runs_short():
         assert seq.total_u_half_edges >= int(seq.deg_v.sum())
     empty = DegreeSequencePair.from_degrees([0], [])
     g = build_full_graph(empty, seed=0)
-    assert g.adjacency == () and g.leftover == ()
+    assert g.adjacency == () and g.row[empty.arrival_offsets[-1]:].size == 0
 
 
 def test_first_slot_uniform_over_half_edges():
@@ -176,7 +176,7 @@ def test_graph_matches_streaming_reveal():
     assert np.array_equal(g.row, row)
     streamed = _arrival_slices(seq, row)
     assert tuple(streamed) == g.adjacency
-    assert g.leftover == tuple(row[int(seq.deg_v.sum()):].tolist())
+    assert g.row[seq.arrival_offsets[-1]:].tolist() == row[int(seq.deg_v.sum()):].tolist()
     assert len(g.adjacency[0]) == seq.deg_v[0]
 
 
@@ -238,7 +238,9 @@ def test_streams_are_deterministic_and_policy_free():
     seq = sample_degree_sequences(poisson(4.0), poisson(4.0), 400, seed=5)
     g1 = build_full_graph(seq, seed=5)
     g2 = build_full_graph(seq, seed=5)
-    assert g1.adjacency == g2.adjacency and g1.leftover == g2.leftover
+    tail = seq.arrival_offsets[-1]
+    assert g1.adjacency == g2.adjacency
+    assert np.array_equal(g1.row[tail:], g2.row[tail:])
 
 
 def test_seed_loop_finds_a_simple_graph():
@@ -255,7 +257,7 @@ def test_leftover_edges_are_flagged(tmp_path):
     seq = DegreeSequencePair.from_degrees([2, 2], [1, 1])  # balance on V
     g = build_full_graph(seq, seed=0)
     assert g.seq.slot_arrival.tolist() == [0, 1, 2, 2]
-    assert len(g.leftover) == 2 and len(g.real_edges()) == 2
+    assert g.row[seq.arrival_offsets[-1]:].size == 2 and len(g.real_edges()) == 2
     path = tmp_path / "edges.txt"
     write_edge_list(g, path)
     triples = [tuple(map(int, line.split())) for line in path.read_text().splitlines()[1:]]
