@@ -29,7 +29,8 @@ from . import degrees
 from ._io import atomic_write
 from .fluid import (UNIT_CAPACITY, CapacityProfile, FluidCurve,
                     solve_G_general_capacity, sup_deviation, write_fluid_csv)
-from .matching import GREEDY, POLICIES, RANKING, run_policy, write_trajectory_csv
+from .matching import (BIASED_GREEDY, GREEDY, POLICIES, RANKING, run_policy,
+                       write_trajectory_csv)
 from .stream import sample_degree_sequences
 
 SUMMARY_SCHEMA = {
@@ -108,7 +109,10 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"field 'policies': unknown policy {p!r}")
-        _resolve(self, {}, "")
+        pmf_u, _, _ = _resolve(self, {}, "")
+        if BIASED_GREEDY in self.policies and pmf_u.k_max > 2:
+            raise ConfigError(f"field 'policies': {BIASED_GREEDY!r} needs "
+                              f"model_u degrees of at most 2, not {pmf_u.k_max}")
         need(self.models is None or isinstance(self.models, list),
              "models", "a list or null")
         for i, entry in enumerate(self.models or []):

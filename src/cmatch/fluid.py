@@ -23,7 +23,7 @@ is the only scalar ODE solved here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,17 +83,23 @@ class CapacityProfile:
     def from_fractions(cls, fractions) -> "CapacityProfile":
         """Build from [p_1, p_2, ..., p_C], checked, normalized and trimmed
         of trailing zero mass as the degree law [0, p_1, ..., p_C]."""
-        law = explicit([0.0, *fractions])
-        label = "profile-" + ",".join(f"{v:g}" for v in law.probs[1:])
-        return cls(p=law.probs, mean_cap=law.mean, cdf=law._cdf, label=label)
+        return cls._of(fractions)
 
     @classmethod
     def fixed(cls, C: int) -> "CapacityProfile":
         """Every offline vertex has capacity C."""
         if not 1 <= C <= _MAX_SUPPORT:
             raise ValueError(f"capacity must lie in [1, {_MAX_SUPPORT}]")
-        return replace(cls.from_fractions([0.0] * (C - 1) + [1.0]),
-                       label=f"fixed-{C}")
+        return cls._of([0.0] * (C - 1) + [1.0], f"fixed-{C}")
+
+    @classmethod
+    def _of(cls, fractions, label: str | None = None) -> "CapacityProfile":
+        """The profile of the law [0, *fractions] under ``label``, which
+        defaults to the law's ``profile-p_1,...,p_C`` label."""
+        law = explicit([0.0, *fractions])
+        if label is None:
+            label = "profile-" + ",".join(f"{v:g}" for v in law.probs[1:])
+        return cls(p=law.probs, mean_cap=law.mean, cdf=law._cdf, label=label)
 
     def capacities(self, n: int) -> np.ndarray:
         """Capacity array of n vertices realizing the profile: vertex i gets
@@ -105,7 +111,7 @@ class CapacityProfile:
 
 
 # Unit capacity everywhere: the capacity-less model.
-UNIT_CAPACITY = replace(CapacityProfile.from_fractions([1.0]), label="none")
+UNIT_CAPACITY = CapacityProfile._of([1.0], "none")
 
 
 def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
@@ -141,16 +147,13 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     # phi_u^{(k)} is identically 0 for k > k_max, so only the first
     # k_max + 1 levels of the matched sum, and k_max of the slope, count.
     levels = min(C, pmf_u.k_max + 1)
-    coeffs = []
-    for k in range(levels):
-        acc = 0.0
-        for c in range(1, C - k + 1):
-            acc += c * float(profile.p[c + k])
-        coeffs.append(acc / profile.mean_cap)
+    # survival[k] = P(c > k), and E[(c - k)^+] = sum_{j >= k} P(c > j)
+    survival = 1.0 - profile.cdf[:C]
+    coeffs = np.cumsum(survival[::-1])[::-1][:levels] / profile.mean_cap
 
     # Bound once per solve: each stage then makes one domain check and one
     # Horner pass per contributing level, with no method dispatch.
-    terms = [(1.0 - float(profile.cdf[k]), pmf_u._deriv_rev(k + 1))
+    terms = [(float(survival[k]), pmf_u._deriv_rev(k + 1))
              for k in range(min(C, pmf_u.k_max))]
     h_v = pmf_v._h_core
 
@@ -248,6 +251,16 @@ def solve_full_system(pmf_u: DegreePMF, pmf_v: DegreePMF,
                       step: float = 1e-3) -> SystemTrajectory:
     """RK4 on the drift system for per-degree free/saturated densities.
 
+    The state is y = (f, m), free and saturated densities by residual degree
+    0..k_max, and its drift is one transport step
+
+        y_i' = (-mean_v i y_i + mean_v (i + 1) y_{i+1}) / D,
+
+    applied to both rows, plus the match flow h_v(q) (i + 1) f_{i+1} / D
+    from free degree i + 1 to saturated degree i, where D = sum_i i (f_i +
+    m_i) is the live half-edge mass and q = sum_i i m_i / D its saturated
+    share. Each stage costs O(k_max) time and memory.
+
     Integration stops 10 steps short of t = mean_u / mean_v, where the live
     half-edge mass in the denominators vanishes; endpoint values belong to
     the aggregated curve, whose s-parametrization reaches 1 cleanly.
@@ -258,26 +271,25 @@ def solve_full_system(pmf_u: DegreePMF, pmf_v: DegreePMF,
     mu_v = pmf_v.mean
     if mu_u <= 0 or mu_v <= 0:
         raise ValueError("both degree laws need positive mean")
-    i_top = pmf_u.k_max
-    idx = np.arange(i_top + 1, dtype=float)
-    up = idx + 1.0
+    idx = np.arange(pmf_u.k_max + 1, dtype=float)
+    loss = -mu_v * idx
+    gain = mu_v * idx[1:]
+    h_v = pmf_v._h_core
 
     def drift(t: float, y: np.ndarray) -> np.ndarray:
-        f, m = y
-        denom = float(idx @ f + idx @ m)
-        q = float(idx @ m) / denom
-        q = min(max(q, 0.0), 1.0)
-        hv = pmf_v.h_ratio(q)
-        fs, ms = np.zeros_like(y)
-        fs[:-1] = f[1:]
-        ms[:-1] = m[1:]
-        df = (-idx * mu_v * f + up * (mu_v - hv) * fs) / denom
-        dm = (-idx * mu_v * m + up * mu_v * ms + hv * up * fs) / denom
-        return np.array([df, dm])
+        free_mass, sat_mass = (y @ idx).tolist()
+        denom = free_mass + sat_mass
+        q = min(max(sat_mass / denom, 0.0), 1.0)
+        flow = (h_v(q) / mu_v) * gain * y[0, 1:]
+        dy = loss * y
+        dy[:, :-1] += gain * y[:, 1:]
+        dy[0, :-1] -= flow
+        dy[1, :-1] += flow
+        return dy / denom
 
     t_end = mu_u / mu_v - 10.0 * step
     n_steps = max(1, int(math.floor(t_end / step + 1e-9)))
-    y0 = np.array([pmf_u.probs, np.zeros(i_top + 1)], dtype=float)
+    y0 = np.array([pmf_u.probs, np.zeros_like(idx)])
     states = _rk4(drift, y0, step, n_steps)
     lows = states.min(axis=(1, 2))
     bad = np.flatnonzero(lows < -1e-10)
@@ -339,12 +351,8 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     taus = (mu_u / mu_v) * (1.0 - decay)
     f_at = curve.g_at(1.0 - decay)
 
-    lhs = np.zeros(samples)
-    s_pow = np.ones(samples)
-    for i in range(sys_traj.free.shape[1]):
-        fi = np.interp(taus, sys_traj.t, sys_traj.free[:, i])
-        lhs += fi * s_pow
-        s_pow *= ss
+    lhs = _horner([np.interp(taus, sys_traj.t, col)
+                   for col in sys_traj.free.T[::-1]], ss)
     arg = np.clip((ss - 1.0) * decay + 1.0 - f_at, 0.0, 1.0)
     rhs = pmf_u.pgf(arg)
     gap = np.abs(lhs - rhs)

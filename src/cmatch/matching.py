@@ -24,7 +24,7 @@ Orders of preference (endpoints with equal keys go in uniform order):
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,9 +270,17 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
     picks = traj.chosen[:step]
     left = traj.caps - np.bincount(picks[picks >= 0], minlength=n)
     spare = left > 0
-    free_rem = rem[spare].tolist()
-    return (dict(Counter(free_rem)), dict(Counter(rem[~spare].tolist())),
-            dict(Counter(zip(free_rem, left[spare].tolist()))))
+    free_rem = rem[spare]
+    width = int(traj.caps.max()) + 1  # (degree, left) pairs as one key
+    by_cap = _tally(free_rem * width + left[spare])
+    return (_tally(free_rem), _tally(rem[~spare]),
+            {divmod(key, width): count for key, count in by_cap.items()})
+
+
+def _tally(values: np.ndarray) -> dict:
+    """Map each distinct value to the number of times it occurs."""
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def choice_events(traj: Trajectory) -> tuple:

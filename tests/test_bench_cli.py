@@ -508,12 +508,14 @@ def test_main_runtime_failure_is_exit_1(tmp_path):
     assert main(["simulate", "--config", path]) == 1
 
 
-def test_failed_simulate_runs_are_exit_1(tmp_path, capsys):
+def test_failed_simulate_runs_are_exit_1(tmp_path, capsys, monkeypatch):
+    # no valid config makes a run fail, so the run itself is made to fail
+    def failing_run(*args, **kwargs):
+        raise ValueError("this run fails")
+
+    monkeypatch.setattr("cmatch.bench_cli.run_policy", failing_run)
     out = tmp_path / "o"
-    path = _write_config(tmp_path, _tiny_simulate_config(
-        out, model_u={"kind": "regular", "d": 4},
-        model_v={"kind": "regular", "d": 4}, n_values=[50],
-        policies=["biased_greedy"]))
+    path = _write_config(tmp_path, _tiny_simulate_config(out, n_values=[50]))
     assert main(["simulate", "--config", path]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"] == []
@@ -522,6 +524,22 @@ def test_failed_simulate_runs_are_exit_1(tmp_path, capsys):
     assert len(err) == 1
     assert "2 run(s) failed" in err[0]
     assert summary["failures"][0]["error"] in err[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_biased_greedy_beyond_degree_two_is_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    law = {"kind": "poisson", "c": 3}
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        out, model_u=law, model_v=law, policies=["greedy", "biased_greedy"]))
+    assert main([command, "--config", path]) == 2
+    assert "policies" in capsys.readouterr().err
+    assert not out.exists()
+    # a law of degrees at most 2 still runs it
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        out, model_u={"kind": "explicit", "probs": [0.2, 0.3, 0.5]},
+        model_v=law, policies=["greedy", "biased_greedy"]))
+    assert main([command, "--config", path]) == 0
 
 
 @pytest.mark.parametrize("side, spec", [

@@ -242,12 +242,14 @@ def _reference_curve(pmf_u, pmf_v, fractions, step):
     prof = CapacityProfile.from_fractions(fractions)
     C = prof.max_capacity
     weights = [1.0 - float(prof.cdf[k]) for k in range(C)]
-    coeffs = []
+    # a_k = E[(c - k)^+] / E[c] as the tail sums sum_{j >= k} P(c > j)
+    coeffs = np.cumsum(weights[::-1])[::-1] / prof.mean_cap
+    # ... which is its definition up to rounding
     for k in range(C):
         acc = 0.0
         for c in range(1, C - k + 1):
             acc += c * float(prof.p[c + k])
-        coeffs.append(acc / prof.mean_cap)
+        assert abs(acc / prof.mean_cap - coeffs[k]) <= 4 * np.finfo(float).eps
 
     def slope(g):
         total = 0.0

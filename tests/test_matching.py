@@ -168,15 +168,33 @@ def test_missing_checkpoint_raises():
 
 
 def test_free_density_tracks_fluid_system():
-    pmf = regular(4)
-    n = 10_000
-    seq = sample_degree_sequences(pmf, pmf, n, seed=13)
-    traj = run_policy(seq, None, GREEDY, seed=13, checkpoint_every=n // 2)
-    free, _, _ = histograms_at(traj, n // 2)
-    system = solve_full_system(pmf, pmf, 1e-3)
-    j = int(np.searchsorted(system.t, 0.5))
-    for i in range(5):
-        assert abs(free.get(i, 0) / n - system.free[j][i]) <= 0.03
+    """Greedy's per-degree free and saturated histograms over n follow the
+    density system's free and saturated densities at time k/n, in every
+    degree at 20 steps up to the system's last time, for seeds 0-2.
+
+    The worst cells measured are 0.0095 on regular-4 and 0.0050 on
+    Poisson-4 (seeds 3-9 reach 0.0098 and 0.0087); each bound is 1.25 times
+    the worst over seeds 0-9, rounded up. Poisson-4 runs at n = 10^5: at
+    10^4 the nominal clock k/n ignores how far the realized half-edge
+    totals stray, and a saturated cell lands 0.034 off late in the run.
+    """
+    for pmf, n, bound in ((regular(4), 10**4, 0.0125),
+                          (poisson(4.0), 10**5, 0.011)):
+        system = solve_full_system(pmf, pmf, 1e-3)
+        rows = np.linspace(0, len(system.t) - 1, 20).round().astype(int)
+        worst = 0.0
+        for seed in range(3):
+            seq = sample_degree_sequences(pmf, pmf, n, seed=seed)
+            traj = run_policy(seq, None, GREEDY, seed=seed)
+            for j in rows:
+                hists = histograms_at(traj, round(system.t[j] * n))[:2]
+                for hist, density in zip(hists, (system.free[j],
+                                                 system.saturated[j])):
+                    sim = np.zeros(pmf.k_max + 1)
+                    for degree, count in hist.items():
+                        sim[degree] = count / n
+                    worst = max(worst, float(np.abs(sim - density).max()))
+        assert worst <= bound, pmf.label
 
 
 # ---------------------------------------------------------------------------
