@@ -27,8 +27,9 @@ import numpy as np
 
 from . import degrees
 from ._io import atomic_write
-from .fluid import (UNIT_CAPACITY, CapacityProfile, FluidCurve,
-                    solve_G_general_capacity, sup_deviation, write_fluid_csv)
+from .fluid import (_MAX_G_STEP, _MIN_G_STEP, UNIT_CAPACITY, CapacityProfile,
+                    FluidCurve, solve_G_general_capacity, sup_deviation,
+                    write_fluid_csv)
 from .matching import (BIASED_GREEDY, GREEDY, POLICIES, RANKING, run_policy,
                        write_trajectory_csv)
 from .stream import sample_degree_sequences
@@ -103,8 +104,9 @@ class ExperimentConfig:
              "seed_base", "an integer >= 0")
         need(is_int(self.merge_capacity) and self.merge_capacity >= 1,
              "merge_capacity", "an integer >= 1")
-        need(type(self.step) in (int, float) and 0 < self.step <= 1e-2,
-             "step", "a number in (0, 1e-2]")
+        need(type(self.step) in (int, float)
+             and _MIN_G_STEP <= self.step <= _MAX_G_STEP,
+             "step", f"a number in [{_MIN_G_STEP:g}, {_MAX_G_STEP:g}]")
         need(isinstance(self.policies, list), "policies", "a list")
         for p in self.policies:
             if p not in POLICIES:
@@ -224,6 +226,15 @@ def _capacity_profile(spec) -> CapacityProfile:
         spec, "p", degrees._is_real_list, "a list of numbers"))
 
 
+def _degree_law(spec) -> degrees.DegreePMF:
+    """The degree law that a ``model_u`` or ``model_v`` spec names; with mean
+    0 it has no half-edge to pair and no fluid curve."""
+    pmf = degrees.from_spec(spec)
+    if pmf.mean <= 0:
+        raise ValueError("the degree law needs a positive mean")
+    return pmf
+
+
 def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
     """Raise a ConfigError naming every field ``command`` does not read
     whose value differs from its default."""
@@ -241,7 +252,7 @@ def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
     where it names it and from ``cfg`` otherwise; a ConfigError names the
     first bad field."""
     built = []
-    for name, build in zip(_ENTRY_FIELDS, (degrees.from_spec, degrees.from_spec,
+    for name, build in zip(_ENTRY_FIELDS, (_degree_law, _degree_law,
                                            _capacity_profile)):
         try:
             built.append(build(entry.get(name, getattr(cfg, name))))

@@ -31,6 +31,8 @@ from ._io import atomic_write
 from .degrees import (_MAX_SUPPORT, DegreePMF, _horner, _unit, dominates,
                       explicit)
 
+# The G-ODE runs round(1 / step) scalar RK4 steps and keeps every state.
+_MIN_G_STEP = 1e-6
 _MAX_G_STEP = 1e-2
 _MAX_SYSTEM_STEP = 1e-3
 
@@ -137,12 +139,14 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     and return the matched fraction per unit of expected capacity,
     1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G) with a_k = E[(c - k)^+] / E[c].
     Each public solver is one call of it; none calls another."""
-    if not 0.0 < step <= _MAX_G_STEP:
-        raise ValueError(f"step must lie in (0, {_MAX_G_STEP}]")
-    n_steps = max(1, round(1.0 / step))
-    h = 1.0 / n_steps
+    if not _MIN_G_STEP <= step <= _MAX_G_STEP:
+        raise ValueError(f"step must lie in [{_MIN_G_STEP:g}, {_MAX_G_STEP:g}]")
     mu_u = pmf_u.mean
     mu_v = pmf_v.mean
+    if mu_u <= 0 or mu_v <= 0:
+        raise ValueError("both degree laws need positive mean")
+    n_steps = round(1.0 / step)
+    h = 1.0 / n_steps
     C = profile.max_capacity
     # phi_u^{(k)} is identically 0 for k > k_max, so only the first
     # k_max + 1 levels of the matched sum, and k_max of the slope, count.

@@ -306,20 +306,9 @@ def choice_events(traj: Trajectory) -> tuple:
     return int(event.sum()), int(wins.sum())
 
 
-def write_trajectory_csv(traj: Trajectory, path, hist_path=None) -> None:
-    """Write the per-step matching size; optionally a histogram sidecar with
-    one row per (checkpoint, kind, degree, capacity) cell."""
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write the per-step matching size, one ``step,matched`` row per step."""
     with atomic_write(path) as fh:
         fh.write("step,matched\n")
         for k, m in enumerate(traj.matched_at_step):
             fh.write(f"{k},{m}\n")
-    if hist_path is None:
-        return
-    with atomic_write(hist_path) as fh:
-        fh.write("step,kind,degree,capacity,count\n")
-        for cp in traj.checkpoints:
-            for kind, hist in (("free", cp.free), ("saturated", cp.saturated)):
-                for d in sorted(hist):
-                    fh.write(f"{cp.step},{kind},{d},,{hist[d]}\n")
-            for (d, c) in sorted(cp.free_by_capacity):
-                fh.write(f"{cp.step},free_by_capacity,{d},{c},{cp.free_by_capacity[(d, c)]}\n")

@@ -22,10 +22,6 @@ import numpy as np
 from ._io import atomic_write
 from .degrees import DegreePMF
 
-BALANCE_NONE = "none"
-BALANCE_U = "U"
-BALANCE_V = "V"
-
 
 def pairing_stream(seed: int) -> np.random.Generator:
     """Random stream driving half-edge pairing for a run with this seed."""
@@ -43,14 +39,16 @@ class DegreeSequencePair:
     """Realized degree sequences for one run.
 
     ``deg_u`` has one entry per offline vertex, ``deg_v`` one per arrival in
-    arrival order. The balancing vertex lives on whichever side is short of
-    half-edges; its edges never count toward matchings.
+    arrival order. The balancing vertex pads both sides to equal half-edge
+    totals: ``pad_u`` is the degree of offline vertex N and ``pad_v`` that
+    of arrival T, and at most one of them is nonzero. Its edges never count
+    toward matchings.
     """
 
     deg_u: np.ndarray
     deg_v: np.ndarray
-    balance_side: str
-    balance_degree: int
+    pad_u: int
+    pad_v: int
 
     @property
     def n_offline(self) -> int:
@@ -63,8 +61,7 @@ class DegreeSequencePair:
     @property
     def total_u_half_edges(self) -> int:
         """Pool size: offline half-edges including the balancing vertex."""
-        extra = self.balance_degree if self.balance_side == BALANCE_U else 0
-        return int(self.deg_u.sum()) + extra
+        return int(self.deg_u.sum()) + self.pad_u
 
     @property
     def arrival_offsets(self) -> np.ndarray:
@@ -76,26 +73,27 @@ class DegreeSequencePair:
     def slot_arrival(self) -> np.ndarray:
         """Arrival id of every slot of a pairing row; T marks the tail that
         pairs with the balancing arrival."""
-        tail = self.balance_degree if self.balance_side == BALANCE_V else 0
-        return np.repeat(np.arange(self.n_arrivals + 1), np.append(self.deg_v, tail))
+        return np.repeat(np.arange(self.n_arrivals + 1),
+                         np.append(self.deg_v, self.pad_v))
+
+    @property
+    def slot_vertex(self) -> np.ndarray:
+        """Offline vertex id of every offline half-edge, vertex by vertex;
+        the balancing vertex N holds the last ``pad_u`` slots."""
+        return np.repeat(np.arange(self.n_offline + 1, dtype=np.int64),
+                         np.append(self.deg_u, self.pad_u))
 
     @classmethod
     def from_degrees(cls, deg_u, deg_v) -> "DegreeSequencePair":
-        """Pair two raw degree sequences, adding the balancing vertex."""
+        """Pair two raw degree sequences, padding the short side."""
         deg_u = np.array(deg_u, dtype=np.int64)
         deg_v = np.array(deg_v, dtype=np.int64)
         if np.any(deg_u < 0) or np.any(deg_v < 0):
             raise ValueError("degrees must be nonnegative")
         diff = int(deg_u.sum()) - int(deg_v.sum())
-        if diff == 0:
-            side, extra = BALANCE_NONE, 0
-        elif diff > 0:
-            side, extra = BALANCE_V, diff
-        else:
-            side, extra = BALANCE_U, -diff
         deg_u.setflags(write=False)
         deg_v.setflags(write=False)
-        return cls(deg_u=deg_u, deg_v=deg_v, balance_side=side, balance_degree=extra)
+        return cls(deg_u=deg_u, deg_v=deg_v, pad_u=max(-diff, 0), pad_v=max(diff, 0))
 
 
 def sample_degree_sequences(pmf_u: DegreePMF, pmf_v: DegreePMF,
@@ -114,24 +112,17 @@ def sample_degree_sequences(pmf_u: DegreePMF, pmf_v: DegreePMF,
     return DegreeSequencePair.from_degrees(deg_u, deg_v)
 
 
-def half_edge_slots(seq: DegreeSequencePair) -> np.ndarray:
-    """Offline vertex id of every offline half-edge, vertex by vertex; the
-    balancing vertex (id N) holds the last slots when it sits on U."""
-    extra = seq.balance_degree if seq.balance_side == BALANCE_U else 0
-    counts = np.append(seq.deg_u, extra)
-    return np.repeat(np.arange(seq.n_offline + 1, dtype=np.int64), counts)
-
-
 def pair_half_edges(seq: DegreeSequencePair, rng: np.random.Generator,
                     runs: int = 1) -> np.ndarray:
     """Uniform pairings of ``runs`` independent graphs, one row each.
 
-    Each row is a uniform random ordering of :func:`half_edge_slots`;
-    arrival half-edges pair with it in arrival order (see
-    :attr:`DegreeSequencePair.arrival_offsets`), which is the configuration
-    model's uniform pairing revealed one arrival at a time.
+    Each row is a uniform random ordering of
+    :attr:`DegreeSequencePair.slot_vertex`; arrival half-edges pair with it
+    in arrival order (see :attr:`DegreeSequencePair.arrival_offsets`),
+    which is the configuration model's uniform pairing revealed one
+    arrival at a time.
     """
-    slots = half_edge_slots(seq)
+    slots = seq.slot_vertex
     return rng.permuted(np.broadcast_to(slots, (runs, slots.size)), axis=1)
 
 

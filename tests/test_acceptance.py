@@ -21,8 +21,6 @@ from cmatch.stream import (DegreeSequencePair, build_full_graph,
 from conftest import record_criterion
 from oracles import exhaustive_greedy_expectation, tiny_instances
 
-NO_SNAPSHOTS = 10**9  # checkpoint_every beyond any horizon
-
 
 def test_criterion_01_two_regular_closed_form():
     t0 = time.perf_counter()
@@ -67,13 +65,11 @@ def test_criterion_04_trajectory_concentration():
     seeds = range(5)  # calibration seeds recorded with the fixture
     for seed in seeds:
         seq_big = sample_degree_sequences(pmf, pmf, 10_000, seed=seed)
-        traj_big = run_policy(seq_big, None, GREEDY, seed=seed,
-                              checkpoint_every=NO_SNAPSHOTS)
+        traj_big = run_policy(seq_big, None, GREEDY, seed=seed)
         dev_big = sup_deviation(traj_big, curve)
         worst_big = max(worst_big, dev_big)
         seq_small = sample_degree_sequences(pmf, pmf, 100, seed=seed)
-        traj_small = run_policy(seq_small, None, GREEDY, seed=seed,
-                                checkpoint_every=NO_SNAPSHOTS)
+        traj_small = run_policy(seq_small, None, GREEDY, seed=seed)
         if sup_deviation(traj_small, curve) > dev_big:
             small_exceeds += 1
     ok = worst_big <= 0.02 and small_exceeds >= 4
@@ -88,8 +84,8 @@ def test_criterion_05_greedy_beats_ranking():
     diffs = []
     for seed in range(20):
         seq = sample_degree_sequences(pmf, pmf, 10_000, seed=seed)
-        g = run_policy(seq, None, GREEDY, seed=seed, checkpoint_every=NO_SNAPSHOTS)
-        r = run_policy(seq, None, RANKING, seed=seed, checkpoint_every=NO_SNAPSHOTS)
+        g = run_policy(seq, None, GREEDY, seed=seed)
+        r = run_policy(seq, None, RANKING, seed=seed)
         diffs.append(g.final_matched - r.final_matched)
     wins = sum(d > 0 for d in diffs)
     decisive = sum(d != 0 for d in diffs)
@@ -106,8 +102,7 @@ def test_criterion_06_ranking_bias_equivalence():
     seed = 0
     while events < 100_000:
         seq = sample_degree_sequences(pmf, pmf, 100_000, seed=seed)
-        traj = run_policy(seq, None, RANKING, seed=seed,
-                          checkpoint_every=NO_SNAPSHOTS)
+        traj = run_policy(seq, None, RANKING, seed=seed)
         seen, won = choice_events(traj)
         events += seen
         deg2_wins += won
@@ -125,8 +120,7 @@ def test_criterion_07_fixed_capacity_performance():
     fractions = []
     for seed in range(10):
         seq = sample_degree_sequences(pmf, pmf, 10_000, seed=seed)
-        traj = run_policy(seq, 2, GREEDY, seed=seed,
-                          checkpoint_every=NO_SNAPSHOTS)
+        traj = run_policy(seq, 2, GREEDY, seed=seed)
         fractions.append(traj.final_matched / traj.capacity_total)
     gap = abs(float(np.mean(fractions)) - curve.endpoint)
     ok = gap <= 0.01

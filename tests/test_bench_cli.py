@@ -402,6 +402,34 @@ def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+_MEAN_ZERO = {"kind": "explicit", "probs": [1.0]}
+_COMMANDS = ("fluid", "simulate", "compare", "capacity-merge")
+
+
+@pytest.mark.parametrize("command, field, value, named", [
+    *(pytest.param(command, field, value, field, id=f"{command}-{field}")
+      for command in _COMMANDS
+      for field, value in (("model_u", _MEAN_ZERO), ("model_v", _MEAN_ZERO),
+                           ("step", 1e-7))),
+    # only fluid reads models
+    pytest.param("fluid", "models", [{}, {"model_u": _MEAN_ZERO}],
+                 "models[1].model_u", id="fluid-models[1].model_u"),
+    pytest.param("fluid", "models", [{"model_v": _MEAN_ZERO}],
+                 "models[0].model_v", id="fluid-models[0].model_v"),
+])
+def test_mean_zero_law_and_tiny_step_are_exit_2(tmp_path, capsys, command,
+                                                field, value, named):
+    # a mean-0 law has no half-edge to pair and no fluid curve; a step below
+    # the floor would run millions of RK4 steps
+    cfg = {"experiment": "x", "outputs": str(tmp_path / "o"), field: value}
+    if command == "compare":
+        cfg["policies"] = ["greedy", "ranking"]
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{named}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "capacity-merge"])
 def test_models_outside_fluid_is_exit_2(tmp_path, capsys, command):
     entry = {"model_u": {"kind": "regular", "d": 3},

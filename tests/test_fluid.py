@@ -80,6 +80,19 @@ def test_step_validation():
         solve_G_capless(regular(2), regular(2), 0.05)
     with pytest.raises(ValueError):
         solve_G_capless(regular(2), regular(2), 0.0)
+    with pytest.raises(ValueError):
+        solve_G_capless(regular(2), regular(2), 1e-7)
+
+
+def test_mean_zero_law_is_rejected():
+    none = explicit([1.0])
+    for pu, pv in ((none, regular(2)), (regular(2), none), (none, none)):
+        with pytest.raises(ValueError, match="positive mean"):
+            solve_G_capless(pu, pv, 1e-3)
+        with pytest.raises(ValueError, match="positive mean"):
+            solve_G_general_capacity(pu, pv, CapacityProfile.fixed(2), 1e-3)
+        with pytest.raises(ValueError, match="positive mean"):
+            solve_full_system(pu, pv, 1e-3)
 
 
 @pytest.mark.parametrize("eta", [1e-2, 2e-3])
@@ -131,7 +144,7 @@ def test_two_regular_capacity_two_never_binds():
     curve = solve_G_fixed_capacity(regular(2), regular(2), 2, 1e-3)
     assert curve.endpoint == pytest.approx(0.5, abs=1e-10)
     seq = sample_degree_sequences(regular(2), regular(2), 10_000, seed=0)
-    traj = run_policy(seq, 2, GREEDY, seed=0, checkpoint_every=10**9)
+    traj = run_policy(seq, 2, GREEDY, seed=0)
     assert abs(traj.final_matched / traj.capacity_total - curve.endpoint) <= 0.01
 
 
@@ -226,7 +239,7 @@ def test_mixed_profile_against_monte_carlo():
     for seed in range(5):
         seq = sample_degree_sequences(pu, pv, 10_000, seed=seed)
         caps = prof.capacities(seq.n_offline)
-        traj = run_policy(seq, caps, GREEDY, seed=seed, checkpoint_every=10**9)
+        traj = run_policy(seq, caps, GREEDY, seed=seed)
         fractions.append(traj.final_matched / traj.capacity_total)
     assert abs(np.mean(fractions) - curve.endpoint) <= 0.01
 
@@ -456,5 +469,5 @@ def test_sup_deviation_is_small_for_large_runs():
     pmf = regular(4)
     curve = solve_G_capless(pmf, pmf, 1e-3)
     seq = sample_degree_sequences(pmf, pmf, 10_000, seed=0)
-    traj = run_policy(seq, None, GREEDY, seed=0, checkpoint_every=10**9)
+    traj = run_policy(seq, None, GREEDY, seed=0)
     assert sup_deviation(traj, curve) <= 0.02

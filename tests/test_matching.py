@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmatch import poisson, regular
+from cmatch import matching, poisson, regular
 from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                              SMALLEST, choice_events, final_matched_counts,
                              histograms_at, matched_fraction_at, run_policy,
@@ -148,7 +148,7 @@ def test_histogram_partition_and_half_edge_identities():
     pmf = poisson(4.0)
     seq = sample_degree_sequences(pmf, pmf, 1000, seed=5)
     traj = run_policy(seq, None, GREEDY, seed=5, checkpoint_every=100)
-    assert seq.balance_side == "V"
+    assert seq.pad_u == 0 < seq.pad_v
     initial = int(seq.deg_u.sum())
     consumed = np.cumsum(seq.deg_v)
     for cp in traj.checkpoints:
@@ -428,6 +428,29 @@ def test_bulk_counts_couple_with_run_policy():
         assert bulk == ref
 
 
+def test_bulk_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # the rows come from one pairing stream in order, so grouping them into
+    # blocks cannot change a count: one row per block, the default (the
+    # Poisson-2 pool of 620 slots puts 105 rows in a block, so its 120 runs
+    # take two blocks), and every row in one block
+    big = sample_degree_sequences(poisson(2.0), poisson(2.0), 300, seed=2)
+    instances = [
+        (DegreeSequencePair.from_degrees([2, 1], [1, 2, 1]), 2, 300),  # pad_u
+        (DegreeSequencePair.from_degrees([3, 2, 1], [2, 1]), None, 300),  # pad_v
+        (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 120),
+    ]
+    assert instances[0][0].pad_u > 0 and instances[1][0].pad_v > 0
+    default = matching._BLOCK_SLOTS
+    assert default // big.total_u_half_edges < 120
+    for seq, caps, runs in instances:
+        counts = []
+        for slots in (1, default, 2**24):
+            monkeypatch.setattr(matching, "_BLOCK_SLOTS", slots)
+            counts.append(final_matched_counts(seq, caps, runs=runs, seed=9))
+        assert len(set(counts[0].tolist())) > 1
+        assert all(np.array_equal(counts[0], c) for c in counts[1:])
+
+
 def test_bulk_counts_mean_matches_oracle_quickly():
     deg_u, deg_v = (2, 1), (1, 2)
     seq = DegreeSequencePair.from_degrees(deg_u, deg_v)
@@ -453,7 +476,7 @@ def test_ranking_prefers_fresh_vertices_two_to_one():
     seed = 0
     while events < 20_000:
         seq = sample_degree_sequences(pmf, pmf, 20_000, seed=seed)
-        traj = run_policy(seq, None, RANKING, seed=seed, checkpoint_every=10**9)
+        traj = run_policy(seq, None, RANKING, seed=seed)
         seen, won = choice_events(traj)
         events += seen
         wins += won
@@ -468,8 +491,7 @@ def test_biased_greedy_matches_its_bias():
         seed = 50
         while events < 20_000:
             seq = sample_degree_sequences(pmf, pmf, 20_000, seed=seed)
-            traj = run_policy(seq, None, BIASED_GREEDY, seed=seed, bias=bias,
-                              checkpoint_every=10**9)
+            traj = run_policy(seq, None, BIASED_GREEDY, seed=seed, bias=bias)
             seen, won = choice_events(traj)
             events += seen
             wins += won
@@ -489,8 +511,7 @@ def test_ranking_permutation_is_uniform_over_seeds():
     # exposes the rank comparison: 5/3 expected under uniform ranks versus
     # 4/3 if vertex 0 always outranked vertex 1
     seq = DegreeSequencePair.from_degrees([2, 1], [2, 1])
-    total = sum(run_policy(seq, None, RANKING, seed=seed,
-                           checkpoint_every=10**9).final_matched
+    total = sum(run_policy(seq, None, RANKING, seed=seed).final_matched
                 for seed in range(600))
     assert abs(total / 600 - 5.0 / 3.0) <= 0.08
 
@@ -502,20 +523,16 @@ def test_ranking_permutation_is_uniform_over_seeds():
 def test_trajectory_monotone_unit_increments():
     seq = sample_degree_sequences(poisson(4.0), poisson(4.0), 2000, seed=17)
     for policy in (GREEDY, RANKING, SMALLEST, HIGHEST):
-        traj = run_policy(seq, None, policy, seed=17, checkpoint_every=10**9)
+        traj = run_policy(seq, None, policy, seed=17)
         inc = np.diff(traj.matched_at_step)
         assert np.all((inc == 0) | (inc == 1))
 
 
 def test_write_trajectory_csv(tmp_path):
     seq = DegreeSequencePair.from_degrees([2, 1], [2, 1])
-    traj = run_policy(seq, None, GREEDY, seed=0, checkpoint_every=1)
-    main = tmp_path / "traj.csv"
-    side = tmp_path / "hist.csv"
-    write_trajectory_csv(traj, main, side)
-    lines = main.read_text().splitlines()
+    traj = run_policy(seq, None, GREEDY, seed=0)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    lines = path.read_text().splitlines()
     assert lines[0] == "step,matched"
-    assert len(lines) == 1 + len(traj.matched_at_step)
-    hist_lines = side.read_text().splitlines()
-    assert hist_lines[0] == "step,kind,degree,capacity,count"
-    assert len(hist_lines) > 1
+    assert lines[1:] == [f"{k},{m}" for k, m in enumerate(traj.matched_at_step)]

@@ -6,7 +6,7 @@ from scipy import stats
 
 from cmatch import poisson, regular
 from cmatch.stream import (DegreeSequencePair, build_full_graph,
-                           half_edge_slots, pair_half_edges, pairing_stream,
+                           pair_half_edges, pairing_stream,
                            sample_degree_sequences, write_edge_list)
 
 from oracles import pairing_distribution
@@ -20,7 +20,7 @@ def test_regular_sequences_balance_trivially():
     seq = sample_degree_sequences(regular(2), regular(2), 5, seed=0)
     assert seq.n_arrivals == 5
     assert np.all(seq.deg_u == 2) and np.all(seq.deg_v == 2)
-    assert seq.balance_side == "none" and seq.balance_degree == 0
+    assert seq.pad_u == 0 and seq.pad_v == 0
 
 
 def test_arrival_count_follows_mean_ratio():
@@ -39,9 +39,9 @@ def test_sequences_deterministic_in_seed():
 
 def test_balance_absorbs_the_exact_deficit():
     seq = DegreeSequencePair.from_degrees([3], [1, 1, 1, 1, 1])
-    assert seq.balance_side == "U" and seq.balance_degree == 2
+    assert seq.pad_u == 2 and seq.pad_v == 0
     seq2 = DegreeSequencePair.from_degrees([3, 2], [1, 1, 1])
-    assert seq2.balance_side == "V" and seq2.balance_degree == 2
+    assert seq2.pad_u == 0 and seq2.pad_v == 2
 
 
 def test_balance_degree_has_subgaussian_size():
@@ -52,7 +52,7 @@ def test_balance_degree_has_subgaussian_size():
     trials = 1000
     for seed in range(trials):
         seq = sample_degree_sequences(pmf, pmf, 10_000, seed=seed)
-        if seq.balance_degree <= bound:
+        if seq.pad_u + seq.pad_v <= bound:
             hits += 1
     assert hits >= 0.999 * trials
 
@@ -75,19 +75,19 @@ def _arrival_slices(seq, row):
 
 
 def test_slots_repeat_vertices_per_degree():
-    slots = half_edge_slots(DegreeSequencePair.from_degrees([2, 1], [3]))
+    slots = DegreeSequencePair.from_degrees([2, 1], [3]).slot_vertex
     assert slots.tolist() == [0, 0, 1]
 
 
 def test_slots_of_empty_pool():
     seq = DegreeSequencePair.from_degrees([0, 0], [])
-    assert half_edge_slots(seq).size == 0
+    assert seq.slot_vertex.size == 0
     assert pair_half_edges(seq, pairing_stream(0), runs=3).shape == (3, 0)
 
 
 def test_slots_include_balancing_vertex_on_u():
     seq = DegreeSequencePair.from_degrees([3], [1, 1, 1, 1, 1])
-    slots = half_edge_slots(seq)
+    slots = seq.slot_vertex
     assert slots.size == 5 == seq.total_u_half_edges
     assert np.count_nonzero(slots == 1) == 2  # balancing slot
 
@@ -144,7 +144,7 @@ def test_pool_counts_stay_consistent():
     # every row is a permutation of the slots, so the unpaired tail after
     # any number of pairings holds exactly the remaining degrees
     seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 200, seed=3)
-    slots = half_edge_slots(seq)
+    slots = seq.slot_vertex
     degree = np.bincount(slots, minlength=seq.n_offline + 1)
     rows = pair_half_edges(seq, pairing_stream(3), runs=20)
     assert rows.shape == (20, slots.size)
@@ -254,7 +254,7 @@ def test_seed_loop_finds_a_simple_graph():
 
 
 def test_leftover_edges_are_flagged(tmp_path):
-    seq = DegreeSequencePair.from_degrees([2, 2], [1, 1])  # balance on V
+    seq = DegreeSequencePair.from_degrees([2, 2], [1, 1])  # pad_v == 2
     g = build_full_graph(seq, seed=0)
     assert g.seq.slot_arrival.tolist() == [0, 1, 2, 2]
     assert g.row[seq.arrival_offsets[-1]:].size == 2 and len(g.real_edges()) == 2
@@ -294,17 +294,21 @@ def _plain_edge_list(graph) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("deg_u, deg_v, law, sample_seed, side", [
+# which sides the balancing vertex pads, by the short side's name
+_PADDED = {"none": (False, False), "U": (True, False), "V": (False, True)}
+
+
+@pytest.mark.parametrize("deg_u, deg_v, law, sample_seed, padded", [
     ([2, 1, 3], [1, 3, 2], regular(3), 0, "none"),
     ([1, 1], [3, 0, 2], poisson(3.0), 7, "U"),
     ([3, 2, 2], [1, 2], poisson(3.0), 0, "V"),
 ])
 def test_write_edge_list_matches_a_plain_loop(tmp_path, deg_u, deg_v, law,
-                                              sample_seed, side):
+                                              sample_seed, padded):
     seqs = [DegreeSequencePair.from_degrees(deg_u, deg_v),
             sample_degree_sequences(law, law, 200, seed=sample_seed)]
     for k, seq in enumerate(seqs):
-        assert seq.balance_side == side
+        assert (seq.pad_u > 0, seq.pad_v > 0) == _PADDED[padded]
         for seed in range(3):
             g = build_full_graph(seq, seed=seed)
             path = tmp_path / f"edges_{k}_{seed}.txt"
