@@ -296,8 +296,15 @@ def _write_summary(out_dir: Path, experiment: str, results: list,
 
 
 def sign_test_p(wins: int, trials: int) -> float:
-    """Exact one-sided sign test: P(X >= wins) for X ~ Binomial(trials, 1/2)."""
-    return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2 ** trials
+    """Exact one-sided sign test: P(X >= wins) for X ~ Binomial(trials, 1/2).
+
+    The binomial coefficients come from one running product, so the exact
+    integer tail takes O(trials) big-integer steps."""
+    tail, coeff = 0, math.comb(trials, wins)
+    for k in range(wins, trials + 1):
+        tail += coeff
+        coeff = coeff * (trials - k) // (k + 1)
+    return tail / 2 ** trials
 
 
 def _stats_row(n: int, policy: str, fractions: list, sup_devs: list | None,

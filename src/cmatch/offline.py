@@ -7,9 +7,11 @@ arrays, with balancing-vertex edges masked out and parallel edges collapsed
 (:meth:`Multigraph.distinct_real_edges`); a matching can use each vertex
 pair at most once, so multiplicity never helps the optimum.
 
-Both solvers are exact integer routines from scipy.sparse.csgraph
-(augmenting-path bipartite matching, max flow); small-instance brute-force
-oracles in the test suite pin their correctness independently.
+Both are one Hopcroft-Karp matching (scipy.sparse.csgraph) against
+capacity copies: offline vertex u becomes omega_u columns, each adjacent
+to all of u's arrivals, so a b-matching is a plain matching of the copied
+graph. Small-instance brute-force oracles in the test suite pin the sizes
+independently.
 """
 
 from __future__ import annotations
@@ -18,54 +20,55 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .stream import Multigraph
-
-AUGMENTING_PATHS = "augmenting_paths"
-MAX_FLOW = "max_flow"
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Size of an optimal (b-)matching and the method that produced it."""
+    """Size of an optimal (b-)matching."""
 
     size: int
-    method: str
+
+
+def _copies_matching(graph: Multigraph, caps) -> int:
+    """Maximum matching of the arrivals against min(caps[u], d_u) copies of
+    each offline vertex u, d_u its distinct real neighbours (more copies
+    can never be used). The copied graph has sum_u d_u * min(caps[u], d_u)
+    edges, at most max(caps) times the distinct edges."""
+    v, u = graph.distinct_real_edges()
+    copies = np.minimum(caps, np.bincount(u, minlength=graph.n_offline)).astype(np.int64)
+    per_edge = copies[u]
+    ends = np.cumsum(per_edge)
+    # edges are sorted by arrival, then offline vertex, and u's copies are
+    # consecutive columns, so the repeated columns are already in CSR order
+    cols = np.repeat(np.cumsum(copies)[u] - ends, per_edge)
+    cols += np.arange(cols.size)
+    indptr = np.append(0, ends)[np.searchsorted(v, np.arange(graph.n_arrivals + 1))]
+    bi = csr_matrix((np.ones(cols.size, dtype=np.int8), cols, indptr),
+                    shape=(graph.n_arrivals, int(copies.sum())))
+    return int(np.count_nonzero(maximum_bipartite_matching(bi, perm_type="column") >= 0))
 
 
 def max_matching(graph: Multigraph) -> OptResult:
     """Exact maximum-cardinality matching between real vertices."""
-    v, u = graph.distinct_real_edges()
-    if not v.size:
-        return OptResult(size=0, method=AUGMENTING_PATHS)
-    bi = csr_matrix((np.ones(v.size, dtype=np.int8), (v, u)),
-                    shape=(graph.n_arrivals, graph.n_offline))
-    perm = maximum_bipartite_matching(bi, perm_type="column")
-    return OptResult(size=int(np.count_nonzero(perm >= 0)),
-                     method=AUGMENTING_PATHS)
+    return OptResult(size=_copies_matching(graph, 1))
 
 
 def max_b_matching(graph: Multigraph, capacities) -> OptResult:
     """Exact optimum when offline vertex u may be matched capacities[u]
-    times: max flow on source -> u (cap omega_u) -> v (cap 1) -> sink."""
-    caps = np.asarray(capacities, dtype=np.int64)
-    if len(caps) != graph.n_offline:
-        raise ValueError(f"capacity array has length {len(caps)}, "
-                         f"expected {graph.n_offline}")
+    times; capacities are integers >= 0, one per real offline vertex."""
+    caps = np.asarray(capacities)
+    if caps.shape != (graph.n_offline,):
+        raise ValueError(f"capacity array has shape {caps.shape}, "
+                         f"expected ({graph.n_offline},)")
+    if caps.dtype.kind == "f":
+        bad = caps[~(np.isfinite(caps) & (caps == np.trunc(caps)))]
+        if bad.size:
+            raise ValueError(f"capacities must be whole numbers, got {bad[0]}")
+    elif caps.dtype.kind not in "iu":
+        raise ValueError(f"capacities must be whole numbers, got dtype {caps.dtype}")
     if np.any(caps < 0):
         raise ValueError("capacities must be nonnegative")
-    v, u = graph.distinct_real_edges()
-    if not v.size:
-        return OptResult(size=0, method=MAX_FLOW)
-    n, t = graph.n_offline, graph.n_arrivals
-    source, sink = 0, 1 + n + t
-    # node ids: source 0, offline u at 1 + u, arrival v at 1 + n + v, sink
-    fed = np.flatnonzero(caps > 0)
-    rows = np.concatenate((np.full(fed.size, source), 1 + u, 1 + n + np.arange(t)))
-    cols = np.concatenate((1 + fed, 1 + n + v, np.full(t, sink)))
-    data = np.concatenate((caps[fed], np.ones(v.size + t, dtype=np.int64)))
-    net = csr_matrix((data.astype(np.int32), (rows, cols)),
-                     shape=(n + t + 2, n + t + 2))
-    value = maximum_flow(net, source, sink).flow_value
-    return OptResult(size=int(value), method=MAX_FLOW)
+    return OptResult(size=_copies_matching(graph, caps))

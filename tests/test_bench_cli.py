@@ -1,9 +1,11 @@
 """CLI driver: config handling, output contracts, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -293,6 +295,18 @@ def test_sign_test_matches_scipy_binomtest():
         for wins in range(trials + 1):
             ref = binomtest(wins, trials, 0.5, alternative="greater").pvalue
             assert abs(sign_test_p(wins, trials) - ref) <= 1e-12 * ref
+
+
+def test_sign_test_equals_the_comb_sum_and_scales_to_many_trials():
+    # the running coefficient gives the same exact integer tail, hence the
+    # same correctly rounded float, as one math.comb per term
+    for trials in range(61):
+        for wins in range(trials + 2):
+            tail = sum(math.comb(trials, k) for k in range(wins, trials + 1))
+            assert sign_test_p(wins, trials) == tail / 2 ** trials
+    start = time.perf_counter()
+    assert 0.0 < sign_test_p(5100, 10_000) < 0.03
+    assert time.perf_counter() - start < 1.0
 
 
 def test_compare_leaves_scipy_alone(tmp_path):

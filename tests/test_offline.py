@@ -22,7 +22,6 @@ def _random_tiny_graph(rng):
 def test_single_edge():
     g = build_full_graph(DegreeSequencePair.from_degrees([1], [1]), seed=0)
     assert max_matching(g).size == 1
-    assert max_matching(g).method == "augmenting_paths"
 
 
 def test_star_counts_once():
@@ -62,7 +61,6 @@ def test_b_matching_simple_capacity_case():
     g = build_full_graph(DegreeSequencePair.from_degrees([2], [1, 1]), seed=0)
     assert max_b_matching(g, [2]).size == 2
     assert max_b_matching(g, [1]).size == 1
-    assert max_b_matching(g, [2]).method == "max_flow"
 
 
 def test_b_matching_matches_brute_force_with_capacities():
@@ -73,6 +71,25 @@ def test_b_matching_matches_brute_force_with_capacities():
         expected = brute_force_max_b_matching(
             sorted(set(g.real_edges())), g.n_offline, g.n_arrivals, caps)
         assert max_b_matching(g, caps).size == expected
+
+
+def test_b_matching_brute_force_with_zero_and_surplus_capacities():
+    # capacity 0 removes a vertex; capacity above its distinct degree is
+    # capped at that degree by the copy construction and must not matter
+    rng = np.random.default_rng(5)
+    zero = surplus = multi = 0
+    for _ in range(60):
+        g = _random_tiny_graph(rng)
+        edges = sorted(set(g.real_edges()))
+        degree = np.bincount([u for _, u in edges], minlength=g.n_offline)
+        caps = rng.integers(0, 6, size=g.n_offline)
+        zero += int(np.any(caps == 0))
+        surplus += int(np.any(caps > degree))
+        multi += not g.is_simple()
+        expected = brute_force_max_b_matching(edges, g.n_offline, g.n_arrivals, caps)
+        assert max_b_matching(g, caps).size == expected
+        assert max_b_matching(g, np.minimum(caps, degree)).size == expected
+    assert zero and surplus and multi
 
 
 def test_b_matching_poisson_instance_with_capacity_two():
@@ -113,6 +130,33 @@ def test_capacity_array_validation():
         max_b_matching(g, [1, -1])
 
 
+@pytest.mark.parametrize("caps, match", [
+    ([0.5, 0.5], "whole numbers, got 0.5"),
+    ([1.7, 1.2], "whole numbers, got 1.7"),
+    ([1.0, np.inf], "whole numbers, got inf"),
+    ([1.0, np.nan], "whole numbers, got nan"),
+    (np.array([True, True]), "dtype bool"),
+    (["1", "1"], "whole numbers"),
+    ([[1], [1]], r"shape \(2, 1\), expected \(2,\)"),
+    ([[1, 1], [1, 1]], r"shape \(2, 2\), expected \(2,\)"),
+    (3, r"shape \(\), expected \(2,\)"),
+    ([2, -1], "nonnegative"),
+])
+def test_malformed_capacities_raise_naming_the_problem(caps, match):
+    # each must raise, not be truncated ([0.5, 0.5] -> 0), accepted as a
+    # bool or a fraction, or fail inside numpy
+    g = build_full_graph(DegreeSequencePair.from_degrees([2, 1], [1, 1, 1]), seed=0)
+    with pytest.raises(ValueError, match=match):
+        max_b_matching(g, caps)
+
+
+def test_whole_float_and_zero_capacities_are_legal():
+    g = build_full_graph(DegreeSequencePair.from_degrees([2, 1], [1, 1, 1]), seed=0)
+    assert max_b_matching(g, [2.0, 1.0]).size == max_b_matching(g, [2, 1]).size == 3
+    assert max_b_matching(g, [0, 0]).size == 0
+    assert max_b_matching(g, np.array([0, 1], dtype=np.uint8)).size == 1
+
+
 def test_empty_graph():
     g = _graph([0, 0], [], [])
     assert g.adjacency == () and g.n_offline == 2
@@ -121,7 +165,8 @@ def test_empty_graph():
     assert max_b_matching(g, [1, 1]).size == 0
 
 
-@pytest.mark.parametrize("law, cap", [(regular(3), 1), (poisson(4.0), 2)])
+@pytest.mark.parametrize("law, cap", [(regular(3), 1), (poisson(4.0), 2),
+                                      (poisson(4.0), "mixed")])
 def test_optima_match_networkx_at_mid_size(law, cap):
     # an independent oracle at a size the brute force cannot reach:
     # Hopcroft-Karp for the matching, a max flow for the b-matching
@@ -137,9 +182,16 @@ def test_optima_match_networkx_at_mid_size(law, cap):
     matching = nx.bipartite.maximum_matching(bip, top_nodes=top)
     assert max_matching(g).size == len(matching) // 2
 
+    if cap == "mixed":
+        # 0s, and values above the vertex's distinct degree
+        degree = np.bincount([u for _, u in edges], minlength=g.n_offline)
+        caps = np.random.default_rng(0).integers(0, 9, size=g.n_offline)
+        assert np.any(caps == 0) and np.any(caps > degree)
+    else:
+        caps = np.full(g.n_offline, cap)
     net = nx.DiGraph()
-    net.add_edges_from(("s", ("u", u), {"capacity": cap}) for u in range(g.n_offline))
+    net.add_edges_from(("s", ("u", u), {"capacity": int(caps[u])})
+                       for u in range(g.n_offline))
     net.add_edges_from((("u", u), ("v", v), {"capacity": 1}) for v, u in edges)
     net.add_edges_from((("v", v), "t", {"capacity": 1}) for v in range(g.n_arrivals))
-    caps = np.full(g.n_offline, cap)
     assert max_b_matching(g, caps).size == nx.maximum_flow_value(net, "s", "t")
