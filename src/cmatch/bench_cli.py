@@ -5,9 +5,12 @@ Subcommands: ``fluid | simulate | compare | capacity-merge``. Each accepts
 ``--config <json>`` and/or ``--preset <name>`` plus ``--seed`` / ``--out``
 overrides. ``--seed`` sets ``seed_base``; run seeds are
 ``seed_base + run_index``, so outputs are reproducible byte for byte (the
-summary JSON carries the only timestamp). A command given a field it does
-not read, set away from its default, exits 2 naming the field: ``fluid``
-draws nothing, so ``fluid --seed 3`` exits 2 naming ``seed_base``.
+summary JSON carries the only timestamp). The three Monte Carlo commands
+share one run loop (:func:`_runs`): each (n, seed) draws one sequence pair,
+and every policy runs on its graph, so the policies are coupled run by run.
+A command given a field it does not read, set away from its default, exits
+2 naming the field: ``fluid`` draws nothing, so ``fluid --seed 3`` exits 2
+naming ``seed_base``.
 Exit codes: 0 success, 2 configuration error, 1 runtime failure (including
 any failed ``simulate`` run, after its summary is written).
 """
@@ -97,8 +100,10 @@ class ExperimentConfig:
         need(isinstance(self.outputs, str), "outputs", "a string")
         need(isinstance(self.n_values, list) and len(self.n_values) > 0
              and all(is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
-                     for n in self.n_values),
-             "n_values", f"a nonempty list of integers in [1, {degrees._MAX_SUPPORT}]")
+                     for n in self.n_values)
+             and len(set(self.n_values)) == len(self.n_values),
+             "n_values", f"a nonempty list of distinct integers in "
+             f"[1, {degrees._MAX_SUPPORT}]")
         need(is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
         need(is_int(self.seed_base) and self.seed_base >= 0,
              "seed_base", "an integer >= 0")
@@ -278,7 +283,8 @@ def _model_key(curve: FluidCurve) -> str:
 
 
 def _write_summary(out_dir: Path, experiment: str, results: list,
-                   endpoints: dict, extras: dict | None = None) -> Path:
+                   endpoints: dict, **extras) -> Path:
+    """Write summary.json, with each of ``extras`` that is not empty."""
     summary = {
         "experiment": experiment,
         "results": sorted(results, key=lambda r: (r["n"], r["policy"],
@@ -286,8 +292,7 @@ def _write_summary(out_dir: Path, experiment: str, results: list,
         "fluid_endpoints": endpoints,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if extras:
-        summary.update(extras)
+    summary.update((key, block) for key, block in extras.items() if block)
     path = out_dir / "summary.json"
     with atomic_write(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -337,32 +342,45 @@ def cmd_fluid(cfg: ExperimentConfig) -> dict:
     return {"fluid_endpoints": endpoints}
 
 
+def _runs(cfg: ExperimentConfig, pmf_u, pmf_v, profile: CapacityProfile,
+          policies: list, sizes: list, failures: list | None = None):
+    """Yield (n, slot, trajectory) per n in ``sizes``, run seed and policy
+    slot: one sequence per (n, seed), every policy run on its graph. Given
+    ``failures``, a run that raises is skipped and recorded there in the
+    order n, slot, seed; otherwise it propagates."""
+    for n in sizes:
+        caps = profile.capacities(n)
+        failed = [[] for _ in policies]
+        for seed in range(cfg.seed_base, cfg.seed_base + cfg.runs):
+            seq = None
+            for slot, policy in enumerate(policies):
+                try:
+                    if seq is None:  # a draw that raises is retried per slot
+                        seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
+                    traj = run_policy(seq, caps, policy, seed)
+                except Exception as exc:  # keep remaining runs alive
+                    if failures is None:
+                        raise
+                    failed[slot].append({"n": n, "policy": policy, "seed": seed,
+                                         "error": f"{type(exc).__name__}: {exc}"})
+                else:
+                    yield n, slot, traj
+        if failures is not None:
+            failures.extend(f for slot_failed in failed for f in slot_failed)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo runs per (n, policy) with trajectories and deviations."""
     out_dir, pmf_u, pmf_v, profile, curve, endpoints = _prepare(cfg)
-    results = []
-    failures = []
-    for n in cfg.n_values:
-        caps = profile.capacities(n)
-        for policy in cfg.policies:
-            fractions, sup_devs = [], []
-            for r in range(cfg.runs):
-                seed = cfg.seed_base + r
-                try:
-                    seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-                    traj = run_policy(seq, caps, policy, seed)
-                except Exception as exc:  # keep remaining runs alive
-                    failures.append({"n": n, "policy": policy, "seed": seed,
-                                     "error": f"{type(exc).__name__}: {exc}"})
-                    continue
-                fractions.append(traj.final_matched / traj.capacity_total)
-                sup_devs.append(sup_deviation(traj, curve))
-                write_trajectory_csv(
-                    traj, out_dir / f"traj_{policy}_n{n}_seed{seed}.csv")
-            if fractions:
-                results.append(_stats_row(n, policy, fractions, sup_devs))
-    extras = {"failures": failures} if failures else None
-    _write_summary(out_dir, cfg.experiment, results, endpoints, extras)
+    failures, runs = [], {n: [[] for _ in cfg.policies] for n in cfg.n_values}
+    for n, slot, traj in _runs(cfg, pmf_u, pmf_v, profile, cfg.policies,
+                               cfg.n_values, failures):
+        runs[n][slot].append((traj.final_matched / traj.capacity_total,
+                              sup_deviation(traj, curve)))
+        write_trajectory_csv(traj, out_dir / f"traj_{traj.policy}_n{n}_seed{traj.seed}.csv")
+    results = [_stats_row(n, policy, *zip(*pairs)) for n, per_slot in runs.items()
+               for policy, pairs in zip(cfg.policies, per_slot) if pairs]
+    _write_summary(out_dir, cfg.experiment, results, endpoints, failures=failures)
     return {"results": results, "failures": failures}
 
 
@@ -371,35 +389,25 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     if len(cfg.policies) < 2:
         raise ConfigError("compare needs at least two policies")
     out_dir, pmf_u, pmf_v, profile, _, endpoints = _prepare(cfg)
-    results = []
-    comparisons = {}
-    for n in cfg.n_values:
-        caps = profile.capacities(n)
-        finals = [[] for _ in cfg.policies]
-        for r in range(cfg.runs):
-            seed = cfg.seed_base + r
-            seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-            for slot, policy in enumerate(cfg.policies):
-                traj = run_policy(seq, caps, policy, seed)
-                finals[slot].append(traj.final_matched / traj.capacity_total)
-        for slot, policy in enumerate(cfg.policies):
-            results.append(_stats_row(n, policy, finals[slot], None))
-        block = {
-            "pair": [cfg.policies[0], cfg.policies[1]],
-            "paired_differences": [a - b for a, b in zip(finals[0], finals[1])],
-        }
+    finals = {n: [[] for _ in cfg.policies] for n in cfg.n_values}
+    for n, slot, traj in _runs(cfg, pmf_u, pmf_v, profile, cfg.policies, cfg.n_values):
+        finals[n][slot].append(traj.final_matched / traj.capacity_total)
+    results, comparisons = [], {}
+    for n, per_slot in finals.items():
+        results.extend(_stats_row(n, policy, fractions, None)
+                       for policy, fractions in zip(cfg.policies, per_slot))
+        block = {"pair": cfg.policies[:2],
+                 "paired_differences": [a - b for a, b in zip(*per_slot[:2])]}
         if GREEDY in cfg.policies and RANKING in cfg.policies:
-            g = finals[cfg.policies.index(GREEDY)]
-            r_ = finals[cfg.policies.index(RANKING)]
-            diffs = [a - b for a, b in zip(g, r_)]
+            diffs = [a - b for a, b in zip(per_slot[cfg.policies.index(GREEDY)],
+                                           per_slot[cfg.policies.index(RANKING)])]
             wins = sum(1 for d in diffs if d > 0)
             ties = sum(1 for d in diffs if d == 0)
             block.update(greedy_minus_ranking=diffs, greedy_wins=wins, ties=ties,
                          sign_test_p_greedy_gt_ranking=sign_test_p(
                              wins, len(diffs) - ties))
         comparisons[str(n)] = block
-    extras = {"comparisons": comparisons} if comparisons else None
-    _write_summary(out_dir, cfg.experiment, results, endpoints, extras)
+    _write_summary(out_dir, cfg.experiment, results, endpoints, comparisons=comparisons)
     return {"results": results, "comparisons": comparisons}
 
 
@@ -429,26 +437,15 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
 
     results = []
     for n in cfg.n_values:
-        n_merged = n // c_merge
-        if n_merged * c_merge != n:
+        if n % c_merge:
             print(f"warning: n={n} not divisible by C={c_merge}; "
-                  f"merged model uses {n_merged} vertices", file=sys.stderr)
-        caps, caps_m = unit.capacities(n), merged.capacities(n_merged)
-        base_fr, base_dev, merged_fr, merged_dev = [], [], [], []
-        for r in range(cfg.runs):
-            seed = cfg.seed_base + r
-            seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-            traj = run_policy(seq, caps, GREEDY, seed)
-            base_fr.append(traj.final_matched / traj.capacity_total)
-            base_dev.append(sup_deviation(traj, base_curve))
-            seq_m = sample_degree_sequences(pmf_u_merged, pmf_v, n_merged, seed)
-            traj_m = run_policy(seq_m, caps_m, GREEDY, seed)
-            merged_fr.append(traj_m.final_matched / traj_m.capacity_total)
-            merged_dev.append(sup_deviation(traj_m, merged_curve))
-        results.append(_stats_row(n, GREEDY, base_fr, base_dev,
-                                  variant="baseline"))
-        results.append(_stats_row(n_merged, GREEDY, merged_fr, merged_dev,
-                                  variant=f"merged-x{c_merge}"))
+                  f"merged model uses {n // c_merge} vertices", file=sys.stderr)
+        for size, law, profile, curve, variant in (
+                (n, pmf_u, unit, base_curve, "baseline"),
+                (n // c_merge, pmf_u_merged, merged, merged_curve, f"merged-x{c_merge}")):
+            pairs = [(traj.final_matched / traj.capacity_total, sup_deviation(traj, curve))
+                     for _, _, traj in _runs(cfg, law, pmf_v, profile, [GREEDY], [size])]
+            results.append(_stats_row(size, GREEDY, *zip(*pairs), variant=variant))
     _write_summary(out_dir, cfg.experiment, results, endpoints)
     return {"results": results, "fluid_endpoints": endpoints}
 

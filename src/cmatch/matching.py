@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
-                     decision_stream, pair_half_edges, pairing_stream)
+from .stream import (DegreeSequencePair, Multigraph, _whole_capacities,
+                     build_full_graph, decision_stream, pair_half_edges,
+                     pairing_stream)
 
 GREEDY = "greedy"
 RANKING = "ranking"
@@ -95,23 +96,22 @@ class Trajectory:
 
 
 def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
-    """Capacity left per vertex; the balancing vertex, last, has none."""
+    """Capacity left per vertex; the balancing vertex, last, has none.
+    ``capacities`` is None (all 1), one whole number for every vertex, or
+    one per vertex; whole floats count, fractions and bools raise."""
     n = seq.n_offline
     if capacities is None:
-        caps = [1] * n
-    elif isinstance(capacities, (int, np.integer)):
-        if capacities < 1:
+        return [1] * n + [0]
+    caps = _whole_capacities(capacities).astype(np.int64)
+    if caps.ndim == 0:
+        if caps < 1:
             raise ValueError("uniform capacity must be >= 1")
-        caps = [int(capacities)] * n
-    else:
-        arr = np.asarray(capacities, dtype=np.int64)
-        if arr.shape != (n,):
-            raise ValueError(f"capacity array has shape {arr.shape}, expected ({n},)")
-        if (arr < 1).any():
-            raise ValueError("capacities must all be >= 1")
-        caps = arr.tolist()
-    caps.append(0)
-    return caps
+        caps = np.full(n, caps)
+    elif caps.shape != (n,):
+        raise ValueError(f"capacity array has shape {caps.shape}, expected ({n},)")
+    if (caps < 1).any():
+        raise ValueError("capacities must all be >= 1")
+    return caps.tolist() + [0]
 
 
 def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .stream import Multigraph
+from .stream import Multigraph, _whole_capacities
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,7 @@ def max_b_matching(graph: Multigraph, capacities) -> OptResult:
     if caps.shape != (graph.n_offline,):
         raise ValueError(f"capacity array has shape {caps.shape}, "
                          f"expected ({graph.n_offline},)")
-    if caps.dtype.kind == "f":
-        bad = caps[~(np.isfinite(caps) & (caps == np.trunc(caps)))]
-        if bad.size:
-            raise ValueError(f"capacities must be whole numbers, got {bad[0]}")
-    elif caps.dtype.kind not in "iu":
-        raise ValueError(f"capacities must be whole numbers, got dtype {caps.dtype}")
+    caps = _whole_capacities(caps)
     if np.any(caps < 0):
         raise ValueError("capacities must be nonnegative")
     return OptResult(size=_copies_matching(graph, caps))

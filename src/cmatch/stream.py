@@ -23,6 +23,22 @@ from ._io import atomic_write
 from .degrees import DegreePMF
 
 
+def _whole_capacities(capacities) -> np.ndarray:
+    """``capacities`` as an array of whole numbers of an integer or float
+    dtype, or a ValueError naming the first value that is not whole (a
+    fraction, inf or nan) or a dtype that holds none (bool, strings).
+    Shared by matching and offline; it lives here because this module
+    imports no scipy, which the CLI must not load."""
+    caps = np.asarray(capacities)
+    if caps.dtype.kind == "f":
+        bad = caps[~(np.isfinite(caps) & (caps == np.trunc(caps)))]
+        if bad.size:
+            raise ValueError(f"capacities must be whole numbers, got {bad[0]}")
+    elif caps.dtype.kind not in "iu":
+        raise ValueError(f"capacities must be whole numbers, got dtype {caps.dtype}")
+    return caps
+
+
 def pairing_stream(seed: int) -> np.random.Generator:
     """Random stream driving half-edge pairing for a run with this seed."""
     return np.random.default_rng(2 * seed + 1)

@@ -1,11 +1,13 @@
 """CLI driver: config handling, output contracts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -17,6 +19,7 @@ from cmatch.bench_cli import (PRESETS, SUMMARY_SCHEMA, ConfigError,
                               cmd_capacity_merge, cmd_compare, cmd_fluid,
                               cmd_simulate, load_config, main, sign_test_p)
 from cmatch.matching import run_policy
+from cmatch.stream import sample_degree_sequences
 
 
 def _tiny_simulate_config(out, **overrides):
@@ -208,6 +211,78 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     sb = json.loads((tmp_path / "b" / "summary.json").read_text())
     sa.pop("timestamp"), sb.pop("timestamp")
     assert sa == sb
+
+
+# Desk-scale runs over every path of the run loop: unsorted n_values, four
+# policies under a profile capacity, and a merge at C = 3 whose n = 301 and
+# n = 300 both merge to 100 vertices.
+_LOOP_CONFIG = {
+    "experiment": "loop",
+    "model_u": {"kind": "poisson", "c": 2},
+    "model_v": {"kind": "regular", "d": 3},
+    "n_values": [300, 120],
+    "runs": 3,
+    "seed_base": 4,
+    "step": 1e-3,
+}
+_COUPLED = {"policies": ["ranking", "greedy", "smallest", "highest"],
+            "capacities": {"kind": "profile", "p": [0.5, 0.3, 0.2]}}
+_LOOP_FIELDS = {
+    "simulate": _COUPLED,
+    "compare": _COUPLED,
+    "capacity-merge": {"n_values": [301, 300, 120], "merge_capacity": 3},
+}
+
+
+def _run_loop_command(tmp_path, command):
+    out = tmp_path / command
+    path = _write_config(tmp_path, {**_LOOP_CONFIG, **_LOOP_FIELDS[command],
+                                    "outputs": str(out)}, name=f"{command}.json")
+    assert main([command, "--config", path]) == 0
+    return out
+
+
+# sha256 over "name<TAB>sha256 of the file" lines, recorded before the three
+# commands shared one run loop; summary.json is hashed without its timestamp
+@pytest.mark.parametrize("command, files, digest", [
+    ("simulate", 25,
+     "07800a78bd8c3c24f4c3b623a952262e46b186e38d5e305c92e318dde2d37853"),
+    ("compare", 1,
+     "76340a3289ea7abe5bcac1abe5ae08f4378db3098c07ee73ba87ae1db2d37df4"),
+    ("capacity-merge", 1,
+     "d3764e0d619e5e6010051b2879ecc23c83361ce111e81fb639ca1779118bb465"),
+], ids=["simulate", "compare", "capacity-merge"])
+def test_run_loop_outputs_keep_their_digests(tmp_path, command, files, digest):
+    lines = []
+    for path in sorted(_run_loop_command(tmp_path, command).iterdir()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            summary = json.loads(data)
+            del summary["timestamp"]
+            data = json.dumps(summary, indent=2, sort_keys=True).encode()
+        lines.append(f"{path.name}\t{hashlib.sha256(data).hexdigest()}\n")
+    assert len(lines) == files
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "capacity-merge"])
+def test_one_sequence_per_n_and_seed(tmp_path, monkeypatch, command):
+    from cmatch import bench_cli
+
+    calls = Counter()
+
+    def spy(pmf_u, pmf_v, n, seed):
+        calls[n, seed] += 1
+        return sample_degree_sequences(pmf_u, pmf_v, n, seed)
+
+    monkeypatch.setattr(bench_cli, "sample_degree_sequences", spy)
+    _run_loop_command(tmp_path, command)
+    fields = {**_LOOP_CONFIG, **_LOOP_FIELDS[command]}
+    # every policy runs on the one sequence; capacity-merge samples per arm
+    sizes = ([m for n in fields["n_values"] for m in (n, n // 3)]
+             if command == "capacity-merge" else fields["n_values"])
+    seeds = range(fields["seed_base"], fields["seed_base"] + fields["runs"])
+    assert calls == Counter((n, seed) for n in sizes for seed in seeds)
 
 
 class _FailingFile:
@@ -407,6 +482,7 @@ def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
     ("capacities", {"kind": ["fixed"]}),
     ("capacities", {"C": 2}),
     ("capacities", "fixed"),
+    ("n_values", [200, 120, 200]),
 ])
 def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     path = _write_config(tmp_path, _tiny_simulate_config(
@@ -552,20 +628,28 @@ def test_main_runtime_failure_is_exit_1(tmp_path):
 
 def test_failed_simulate_runs_are_exit_1(tmp_path, capsys, monkeypatch):
     # no valid config makes a run fail, so the run itself is made to fail
-    def failing_run(*args, **kwargs):
-        raise ValueError("this run fails")
+    def failing_run(seq, caps, policy, seed):
+        if (policy, seed) == ("ranking", 1) or (policy, seq.n_offline) == ("smallest", 200):
+            raise ValueError(f"{policy} fails at n={seq.n_offline} seed {seed}")
+        return run_policy(seq, caps, policy, seed)
 
     monkeypatch.setattr("cmatch.bench_cli.run_policy", failing_run)
     out = tmp_path / "o"
-    path = _write_config(tmp_path, _tiny_simulate_config(out, n_values=[50]))
+    path = _write_config(tmp_path, _tiny_simulate_config(
+        out, n_values=[500, 200], policies=["greedy", "ranking", "smallest"]))
     assert main(["simulate", "--config", path]) == 1
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"] == []
-    assert len(summary["failures"]) == 2
+    assert [(r["n"], r["policy"], r["runs"]) for r in summary["results"]] == [
+        (200, "greedy", 2), (200, "ranking", 1),
+        (500, "greedy", 2), (500, "ranking", 1), (500, "smallest", 2)]
+    # n in config order, then policy in config order, then seed
+    assert [(f["n"], f["policy"], f["seed"]) for f in summary["failures"]] == [
+        (500, "ranking", 1), (200, "ranking", 1),
+        (200, "smallest", 0), (200, "smallest", 1)]
+    assert len(list(out.glob("traj_*.csv"))) == 8
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "2 run(s) failed" in err[0]
-    assert summary["failures"][0]["error"] in err[0]
+    assert err == ["runtime failure: 4 run(s) failed; first: "
+                   "ValueError: ranking fails at n=500 seed 1"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -63,6 +63,37 @@ def test_unknown_policy_and_bad_capacities():
             final_matched_counts(seq, caps, runs=1, seed=0)
 
 
+@pytest.mark.parametrize("caps, match", [
+    ([1.7, 1.2], "whole numbers, got 1.7"),
+    ([0.5, 0.5], "whole numbers, got 0.5"),
+    ([1.0, np.inf], "whole numbers, got inf"),
+    (2.5, "whole numbers, got 2.5"),
+    (np.array([True, True]), "dtype bool"),
+    (True, "dtype bool"),
+    (["1", "1"], "whole numbers"),
+])
+def test_fractional_and_bool_capacities_raise(caps, match):
+    # each used to run truncated to an integer, or as capacity 1
+    seq = DegreeSequencePair.from_degrees([2, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match=match):
+        run_policy(seq, caps, GREEDY, seed=0)
+    with pytest.raises(ValueError, match=match):
+        final_matched_counts(seq, caps, runs=1, seed=0)
+
+
+@pytest.mark.parametrize("caps, same_as", [
+    (2.0, 2), (np.int64(2), 2), ([2.0, 1.0], [2, 1]),
+    (np.array([2, 1], dtype=np.uint8), [2, 1]),
+])
+def test_whole_float_and_integer_capacities_are_legal(caps, same_as):
+    seq = DegreeSequencePair.from_degrees([2, 1], [1, 1, 1])
+    traj, ref = (run_policy(seq, c, GREEDY, seed=0) for c in (caps, same_as))
+    assert traj.caps.tolist() == ref.caps.tolist()
+    assert np.array_equal(traj.chosen, ref.chosen)
+    assert (final_matched_counts(seq, caps, runs=3, seed=0).tolist()
+            == final_matched_counts(seq, same_as, runs=3, seed=0).tolist())
+
+
 @pytest.mark.parametrize("policy", [GREEDY, RANKING, SMALLEST, HIGHEST])
 def test_profile_arrays_run_as_none_and_int(policy):
     seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 400, seed=8)
