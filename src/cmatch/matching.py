@@ -9,7 +9,8 @@ each arrival's endpoints that is fixed before the run, so one scan serves
 them all: each arrival takes the first endpoint in its order with capacity
 left. The run records only that choice; histograms and choice events are
 derived from the record. The bulk Monte Carlo path
-:func:`final_matched_counts` runs greedy over many permutations at once.
+:func:`final_matched_counts` runs the same scan over many pairing rows,
+once per distinct row when the pool is small.
 
 Orders of preference (endpoints with equal keys go in uniform order):
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
+from .degrees import _MAX_SUPPORT
 from .stream import (DegreeSequencePair, Multigraph, _whole_capacities,
                      build_full_graph, decision_stream, pair_half_edges,
                      pairing_stream)
@@ -102,7 +104,12 @@ def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
     n = seq.n_offline
     if capacities is None:
         return [1] * n + [0]
-    caps = _whole_capacities(capacities).astype(np.int64)
+    caps = _whole_capacities(capacities)
+    # before the cast, which would wrap or garble larger values
+    big = caps[caps > _MAX_SUPPORT]
+    if big.size:
+        raise ValueError(f"capacities must be at most {_MAX_SUPPORT}, got {big[0]}")
+    caps = caps.astype(np.int64)
     if caps.ndim == 0:
         if caps < 1:
             raise ValueError("uniform capacity must be >= 1")
@@ -114,14 +121,33 @@ def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
     return caps.tolist() + [0]
 
 
+def _greedy_scan(ends, off, caps: list) -> list:
+    """Greedy over one pairing row: arrival v takes the first endpoint of
+    ``ends[off[v]:off[v + 1]]`` with capacity left in ``caps``, which it
+    uses up. Returns each arrival's choice, -1 for none."""
+    # memoryviews yield ints as the scan goes and hold no list of them
+    ends, off = memoryview(ends), memoryview(off)
+    chosen = []
+    for a, b in zip(off, off[1:]):
+        for u in ends[a:b]:
+            if caps[u] > 0:
+                caps[u] -= 1
+                chosen.append(u)
+                break
+        else:
+            chosen.append(-1)
+    return chosen
+
+
 def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                seed: int = 0, checkpoint_every: int | None = None,
                bias: float = 2.0 / 3.0) -> Trajectory:
     """Run one policy over the streamed graph and record its decisions.
 
-    One greedy scan of the row in the policy's order of preference
-    (:func:`_preference_order`), deterministic given (seq, seed). The run
-    keeps only its graph and each arrival's choice (:class:`Trajectory`).
+    The greedy scan (:func:`_greedy_scan`) of the row in the policy's order
+    of preference (:func:`_preference_order`), deterministic given
+    (seq, seed). The run keeps only its graph and each arrival's choice
+    (:class:`Trajectory`).
     ``checkpoint_every`` only picks the report steps of ``checkpoints``: 0,
     every ``checkpoint_every`` arrivals, and T (by default 0 and T).
     """
@@ -133,20 +159,8 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     caps = _init_capacities(seq, capacities)
     initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
     order = _preference_order(policy, graph, decision_stream(seed), bias)
-    # memoryviews yield ints as the scan goes and hold no list of them
-    ends = memoryview(graph.row if order is None else graph.row[order])
-    off = memoryview(seq.arrival_offsets)
-    chosen = []
-    for a, b in zip(off, off[1:]):
-        for u in ends[a:b]:
-            if caps[u] > 0:
-                caps[u] -= 1
-                chosen.append(u)
-                break
-        else:
-            chosen.append(-1)
-
-    chosen = np.array(chosen, dtype=np.int64)
+    ends = graph.row if order is None else graph.row[order]
+    chosen = np.array(_greedy_scan(ends, seq.arrival_offsets, caps), dtype=np.int64)
     n_arr = seq.n_arrivals
     every = checkpoint_every or max(1, n_arr)
     steps = sorted(set(range(0, n_arr + 1, every)) | {n_arr})
@@ -216,32 +230,35 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
                          runs: int = 1, seed: int = 0) -> np.ndarray:
     """Final greedy matched counts over ``runs`` independent graphs.
 
-    Bulk Monte Carlo path: greedy runs in lockstep over blocks of rows of
-    :func:`pair_half_edges`, one vectorized step per arrival. With
-    ``runs=1`` it draws the very pairing :func:`run_policy` draws, so the
-    count equals ``run_policy(seq, capacities, "greedy", seed)``.
+    Bulk Monte Carlo path: blocks of rows of :func:`pair_half_edges`, each
+    row read by the scan of :func:`run_policy`. Small pools repeat rows, so
+    when a row's paired slots fit in one int64 key, each distinct row of a
+    block is scanned once. With ``runs=1`` it draws the very pairing
+    :func:`run_policy` draws, so the count equals
+    ``run_policy(seq, capacities, "greedy", seed)``.
     """
-    base_caps = np.array(_init_capacities(seq, capacities), dtype=np.int64)
-    width = base_caps.size
+    if not isinstance(runs, (int, np.integer)) or isinstance(runs, bool) or runs < 1:
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+    caps = _init_capacities(seq, capacities)
     block = max(1, _BLOCK_SLOTS // max(1, seq.total_u_half_edges))
-    off = seq.arrival_offsets.tolist()
-    arrivals = [(a, b) for a, b in zip(off, off[1:]) if b > a]
+    off = seq.arrival_offsets
+    paired = int(off[-1])
+    # a row holds ids 0..N; its paired slots pack into one int64 key when
+    # they take fewer than 63 bits
+    bits = (seq.n_offline + 1).bit_length()
+    shifts = bits * np.arange(paired) if paired * bits < 63 else None
     rng = pairing_stream(seed)
     out = np.empty(runs, dtype=np.int64)
     for lo in range(0, runs, block):
-        rows = min(block, runs - lo)
-        # each row indexes its own copy of the capacities in one flat array
-        cells = pair_half_edges(seq, rng, rows) + (np.arange(rows) * width)[:, None]
-        caps = np.tile(base_caps, rows)
-        matched = np.zeros(rows, dtype=np.int64)
-        for a, b in arrivals:
-            ends = cells[:, a:b]
-            free = caps[ends] > 0
-            hit = free.any(axis=1)
-            # greedy takes the first free endpoint in pairing order
-            caps[ends[hit, free[hit].argmax(axis=1)]] -= 1
-            matched += hit
-        out[lo:lo + rows] = matched
+        rows = pair_half_edges(seq, rng, min(block, runs - lo))[:, :paired]
+        scan = back = np.arange(len(rows))
+        if shifts is not None:
+            # disjoint bit fields: the sum is the row packed into one key
+            _, scan, back = np.unique((rows << shifts).sum(axis=1),
+                                      return_index=True, return_inverse=True)
+        chosen = (_greedy_scan(rows[i], off, caps.copy()) for i in scan.tolist())
+        matched = np.array([len(c) - c.count(-1) for c in chosen], dtype=np.int64)
+        out[lo:lo + len(rows)] = matched[back]
     return out
 
 

@@ -48,3 +48,14 @@ def test_every_private_function_and_class_is_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
     assert unreferenced == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a rename must move the import and the __all__ entry together
+    import cmatch
+
+    tree = _tree(PACKAGE / "__init__.py")
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(cmatch.__all__) == len(set(cmatch.__all__))
+    assert set(cmatch.__all__) == imported

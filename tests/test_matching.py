@@ -1,5 +1,6 @@
 """Policy semantics, trajectories, histograms and couplings."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -71,9 +72,15 @@ def test_unknown_policy_and_bad_capacities():
     (np.array([True, True]), "dtype bool"),
     (True, "dtype bool"),
     (["1", "1"], "whole numbers"),
+    (2**63, "at most 1000000, got 9223372036854775808"),
+    (1e300, r"at most 1000000, got 1e\+300"),
+    ([1e20, 1.0], r"at most 1000000, got 1e\+20"),
+    ([2**63 - 1, 1], "at most 1000000, got 9223372036854775807"),
 ])
 def test_fractional_and_bool_capacities_raise(caps, match):
-    # each used to run truncated to an integer, or as capacity 1
+    # each used to run truncated to an integer, or as capacity 1; the
+    # too-large ones wrapped in the int64 cast, which gave a negative
+    # capacity total or blamed a capacity below 1
     seq = DegreeSequencePair.from_degrees([2, 1], [1, 1, 1])
     with pytest.raises(ValueError, match=match):
         run_policy(seq, caps, GREEDY, seed=0)
@@ -106,22 +113,49 @@ def test_profile_arrays_run_as_none_and_int(policy):
         assert a.capacity_total == b.capacity_total
 
 
+def _replay_greedy(seq, row, caps) -> list:
+    """Matching size after each arrival, recomputed by hand from one
+    pairing row: each arrival takes its first endpoint with capacity left."""
+    # the balancing vertex, last, is never matched
+    left = np.broadcast_to(1 if caps is None else caps, seq.n_offline).tolist() + [0]
+    row = row.tolist()
+    matched, off, sizes = 0, 0, [0]
+    for dv in seq.deg_v.tolist():
+        endpoints, off = row[off:off + dv], off + dv
+        for u in endpoints:
+            if left[u] > 0:
+                left[u] -= 1
+                matched += 1
+                break
+        sizes.append(matched)
+    return sizes
+
+
 def test_greedy_matches_first_free_endpoint_exactly():
     # replay the identical stream and recompute the decision independently
     seq = sample_degree_sequences(poisson(3.0), poisson(3.0), 300, seed=21)
-    traj = run_policy(seq, None, GREEDY, seed=21)
-    row = pair_half_edges(seq, pairing_stream(21))[0].tolist()
-    free = [True] * seq.n_offline + [False]
-    matched = 0
-    off = 0
-    for k, dv in enumerate(seq.deg_v.tolist(), start=1):
-        endpoints, off = row[off:off + dv], off + dv
-        for u in endpoints:
-            if free[u]:
-                free[u] = False
-                matched += 1
-                break
-        assert traj.matched_at_step[k] == matched
+    row = pair_half_edges(seq, pairing_stream(21))[0]
+    profile = CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300)
+    for caps in (None, 2, profile):
+        traj = run_policy(seq, caps, GREEDY, seed=21)
+        assert traj.matched_at_step.tolist() == _replay_greedy(seq, row, caps)
+
+
+@pytest.mark.parametrize("caps", [None, 2, [1, 2, 3]], ids=["unit", "two", "array"])
+@pytest.mark.parametrize("degrees, packs", [
+    (([1, 2, 1], [2, 1, 2, 1]), True),  # 6 paired slots of 3 bits: one key
+    (([2, 3, 2], [3, 2, 2, 3, 2, 2, 3, 1, 2, 3]), False),  # 23 slots: 69 bits
+], ids=["packs", "spills"])
+def test_bulk_counts_replay_each_pairing_row(degrees, packs, caps):
+    # every bulk count is the hand replay of its own row of the pairing stream
+    seq = DegreeSequencePair.from_degrees(*degrees)
+    paired = int(seq.arrival_offsets[-1])
+    assert (paired * (seq.n_offline + 1).bit_length() < 63) == packs
+    runs = 400
+    counts = final_matched_counts(seq, caps, runs=runs, seed=13)
+    rows = pair_half_edges(seq, pairing_stream(13), runs)
+    assert counts.tolist() == [_replay_greedy(seq, r, caps)[-1] for r in rows]
+    assert len(set(counts.tolist())) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +503,13 @@ def test_bulk_counts_do_not_depend_on_the_block_size(monkeypatch):
         (DegreeSequencePair.from_degrees([2, 1], [1, 2, 1]), 2, 300),  # pad_u
         (DegreeSequencePair.from_degrees([3, 2, 1], [2, 1]), None, 300),  # pad_v
         (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 120),
+        # N = 3 takes 3 bits per paired slot: 20 slots pack into one key,
+        # 21 do not
+        (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 10), 2, 300),
+        (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 9 + [3]), 2, 300),
     ]
     assert instances[0][0].pad_u > 0 and instances[1][0].pad_v > 0
+    assert [3 * seq.arrival_offsets[-1] for seq, _, _ in instances[3:]] == [60, 63]
     default = matching._BLOCK_SLOTS
     assert default // big.total_u_half_edges < 120
     for seq, caps, runs in instances:
@@ -480,6 +519,44 @@ def test_bulk_counts_do_not_depend_on_the_block_size(monkeypatch):
             counts.append(final_matched_counts(seq, caps, runs=runs, seed=9))
         assert len(set(counts[0].tolist())) > 1
         assert all(np.array_equal(counts[0], c) for c in counts[1:])
+
+
+@pytest.mark.parametrize("runs", [0, -1, 2.5, True, "3", None])
+def test_bulk_runs_must_be_a_positive_integer(runs):
+    # these raised numpy errors or returned an empty array with mean nan
+    seq = DegreeSequencePair.from_degrees([2, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="runs must be an integer >= 1"):
+        final_matched_counts(seq, None, runs=runs, seed=0)
+
+
+def test_bulk_counts_are_pinned():
+    # sha256 of the counts as the lockstep kernel this path replaced gave
+    # them, so that a change to the bulk path cannot move one run's count
+    big = sample_degree_sequences(poisson(2.0), poisson(2.0), 300, seed=2)
+    mid = sample_degree_sequences(poisson(3.0), poisson(3.0), 60, seed=5)
+    reg = sample_degree_sequences(regular(2), regular(2), 30, seed=6)
+    assert matching._BLOCK_SLOTS // big.total_u_half_edges < 120  # two blocks
+    cases = [
+        (DegreeSequencePair.from_degrees([2, 1], [1, 2, 1]), 2, 400, 1,  # pad_u
+         "c1bf756b1092a881275c99fa33e3ab392f65cf998f455b51bc023f017d55acf2"),
+        (DegreeSequencePair.from_degrees([3, 2, 1], [2, 1]), None, 400, 2,  # pad_v
+         "5f63150eaa22667c27f583f543ba1a889e0430076f74a88c9da3b414c4306ba0"),
+        (DegreeSequencePair.from_degrees([2, 2, 1], [0, 2, 0, 3]), [1, 2, 1], 400, 3,
+         "35a2f1dda5cc12d357beff4ab5dbe6c39a0bc8f364790b501fc9ef3dec28b506"),
+        (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 120, 4,
+         "3ef9596ba395d151680c4077f01a7aa7395ce41ab2eb6cac93c0b28efd93bda7"),
+        (mid, 2, 200, 5,
+         "feba9f5bb3426c142a46ff33c8673b22471c996e393f44118776deaead006318"),
+        (reg, None, 500, 6,
+         "3e1821669ed65f2ece1410a5432248eaa3a044d5712f5a256cbbcc4f9fb64596"),
+        (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 10), 2, 300, 7,
+         "c7157d78e1aeb73284a014a43d9f35ac3b8847be711f0a51df74e5abd51828e8"),
+        (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 9 + [3]), 2, 300, 8,
+         "e44f5074f76c46830b11d10eda15b3f3ad7084463f5806a4cd72383921debb85"),
+    ]
+    for seq, caps, runs, seed, digest in cases:
+        counts = final_matched_counts(seq, caps, runs=runs, seed=seed)
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
 def test_bulk_counts_mean_matches_oracle_quickly():
