@@ -11,10 +11,14 @@ after cancelling analytically the integrand is just h_v(q) / mean_v with
 
 where Gamma collapses to phi_u'(1 - G) without capacities and gains one
 correction term per unused capacity level otherwise. No epsilon guards are
-needed anywhere in the integrand.
+needed anywhere in the integrand. It depends on G alone and lies between
+(1 - p_v(0)) / mean_v > 0 and 1, so the ODE separates into the quadrature
+s(G) = int_0^G dg / f(g) of a smooth, bounded 1/f on [0, 1] (G(1) <= 1),
+which is inverted on the output grid by Newton steps; no scalar stepper runs.
 
 The module also integrates the full residual-degree density system (one
-equation per degree for free and saturated vertices), and checks it against
+equation per degree for free and saturated vertices) by classical RK4, a
+method independent of the quadrature, and checks it against
 the closed transport-equation solution along characteristic curves. On a
 characteristic that solution's F(t) is G(1 - exp(-mean_v t)), so the G-ODE
 is the only scalar ODE solved here.
@@ -28,13 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import (_MAX_SUPPORT, DegreePMF, _horner, _unit, dominates,
-                      explicit)
+from .degrees import _MAX_SUPPORT, DegreePMF, _horner, dominates, explicit
 
-# The G-ODE runs round(1 / step) scalar RK4 steps and keeps every state.
+# The G-ODE's output grid has round(1 / step) + 1 points, each solved on
+# its own, so its accuracy does not depend on step.
 _MIN_G_STEP = 1e-6
 _MAX_G_STEP = 1e-2
 _MAX_SYSTEM_STEP = 1e-3
+# s(G) is cumulated over _G_PANELS panels of [0, 1] by the 4-point
+# Gauss-Legendre rule, (node, weight) pairs on [0, 1] in closed form: nodes
+# (1 -+ t) / 2, t^2 = 3/7 -+ (2/7) sqrt(6/5), weights (18 +- sqrt(30)) / 72.
+_G_PANELS = 4096
+_G_NEWTON_STEPS = 1
+_GAUSS_4 = tuple(
+    ((1.0 + sign * math.sqrt(3.0 / 7.0 + side * 2.0 / 7.0 * math.sqrt(1.2))) / 2.0,
+     (18.0 - side * math.sqrt(30.0)) / 72.0)
+    for side in (-1.0, 1.0) for sign in (-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +131,7 @@ UNIT_CAPACITY = CapacityProfile._of([1.0], "none")
 
 def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
     """Classical fixed-step RK4 for y' = slope(t, y) from t = 0: the states at
-    t = 0, h, ..., n_steps * h, for a float or an array y."""
+    t = 0, h, ..., n_steps * h."""
     ys = [y0]
     y = y0
     for i in range(n_steps):
@@ -134,11 +147,16 @@ def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
 
 def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
              step: float) -> FluidCurve:
-    """Solve G'(s) = h_v(1 - Gamma(G)/mean_u) / mean_v, G(0) = 0, where
+    """Solve G'(s) = f(G) = h_v(1 - Gamma(G)/mean_u) / mean_v, G(0) = 0, where
     Gamma(g) = sum_k w_k g^k/k! phi_u^{(k+1)}(1 - g) with w_k = P(c > k),
     and return the matched fraction per unit of expected capacity,
     1 - sum_k a_k G^k/k! phi_u^{(k)}(1 - G) with a_k = E[(c - k)^+] / E[c].
-    Each public solver is one call of it; none calls another."""
+    Each public solver is one call of it; none calls another.
+
+    G inverts s(G) = int_0^G dg / f(g), cumulated at the panel edges: G at
+    s_i = i * step is interpolated from them, then refined by Newton steps
+    G <- G - (s(G) - s_i) f(G), s(G) being the edge value plus the rule on
+    the partial panel. Every array on that path has the grid's length."""
     if not _MIN_G_STEP <= step <= _MAX_G_STEP:
         raise ValueError(f"step must lie in [{_MIN_G_STEP:g}, {_MAX_G_STEP:g}]")
     mu_u = pmf_u.mean
@@ -146,7 +164,6 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     if mu_u <= 0 or mu_v <= 0:
         raise ValueError("both degree laws need positive mean")
     n_steps = round(1.0 / step)
-    h = 1.0 / n_steps
     C = profile.max_capacity
     # phi_u^{(k)} is identically 0 for k > k_max, so only the first
     # k_max + 1 levels of the matched sum, and k_max of the slope, count.
@@ -154,26 +171,33 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     # survival[k] = P(c > k), and E[(c - k)^+] = sum_{j >= k} P(c > j)
     survival = 1.0 - profile.cdf[:C]
     coeffs = np.cumsum(survival[::-1])[::-1][:levels] / profile.mean_cap
-
-    # Bound once per solve: each stage then makes one domain check and one
-    # Horner pass per contributing level, with no method dispatch.
     terms = [(float(survival[k]), pmf_u._deriv_rev(k + 1))
              for k in range(min(C, pmf_u.k_max))]
-    h_v = pmf_v._h_core
 
-    def slope(s: float, g: float) -> float:
+    def slope(g: np.ndarray) -> np.ndarray:
+        """f elementwise: one Horner pass per contributing level."""
         total = 0.0
         gk = 1.0
-        x = _unit(1.0 - g)
+        x = np.clip(1.0 - g, 0.0, 1.0)
         for k, (w, rev) in enumerate(terms):
             if k:
-                gk *= g / k
-            total += w * gk * _horner(rev, x)
-        q = 1.0 - total / mu_u
-        q = min(max(q, 0.0), 1.0)
-        return h_v(q) / mu_v
+                gk = gk * g / k
+            total = total + w * gk * _horner(rev, x)
+        q = np.clip(1.0 - total / mu_u, 0.0, 1.0)
+        return _horner(pmf_v._rev_tail, q) / mu_v
 
-    G = _rk4(slope, 0.0, h, n_steps)
+    def s_gain(left: np.ndarray, width) -> np.ndarray:
+        """int_left^{left + width} dg / f(g) by the 4-point rule."""
+        return sum(w * width / slope(left + t * width) for t, w in _GAUSS_4)
+
+    edges = np.arange(_G_PANELS + 1) / _G_PANELS
+    cum = np.append(0.0, np.cumsum(s_gain(edges[:-1], 1.0 / _G_PANELS)))
+    grid = np.arange(n_steps + 1) / n_steps
+    G = np.interp(grid, cum, edges)
+    for _ in range(_G_NEWTON_STEPS):
+        panel = np.minimum(G * _G_PANELS, _G_PANELS - 1).astype(np.int64)
+        left = edges[panel]
+        G = G - (cum[panel] + s_gain(left, G - left) - grid) * slope(G)
     x = np.clip(1.0 - G, 0.0, 1.0)
     total = np.zeros_like(G)
     gk = np.ones_like(G)
@@ -181,9 +205,9 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
         if k:
             gk = gk * G / k
         total += ak * gk * _horner(pmf_u._deriv_rev(k), x)
-    return FluidCurve(grid=np.arange(n_steps + 1) / n_steps, G=G,
-                      matched=1.0 - total, model_u=pmf_u.label,
-                      model_v=pmf_v.label, capacity=profile.label, step=h)
+    return FluidCurve(grid=grid, G=G, matched=1.0 - total,
+                      model_u=pmf_u.label, model_v=pmf_v.label,
+                      capacity=profile.label, step=1.0 / n_steps)
 
 
 def solve_G_capless(pmf_u: DegreePMF, pmf_v: DegreePMF,

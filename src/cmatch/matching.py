@@ -104,20 +104,11 @@ def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
     n = seq.n_offline
     if capacities is None:
         return [1] * n + [0]
-    caps = _whole_capacities(capacities)
-    # before the cast, which would wrap or garble larger values
-    big = caps[caps > _MAX_SUPPORT]
-    if big.size:
-        raise ValueError(f"capacities must be at most {_MAX_SUPPORT}, got {big[0]}")
-    caps = caps.astype(np.int64)
+    caps = _whole_capacities(capacities, 1, _MAX_SUPPORT).astype(np.int64)
     if caps.ndim == 0:
-        if caps < 1:
-            raise ValueError("uniform capacity must be >= 1")
         caps = np.full(n, caps)
     elif caps.shape != (n,):
         raise ValueError(f"capacity array has shape {caps.shape}, expected ({n},)")
-    if (caps < 1).any():
-        raise ValueError("capacities must all be >= 1")
     return caps.tolist() + [0]
 
 

@@ -63,7 +63,4 @@ def max_b_matching(graph: Multigraph, capacities) -> OptResult:
     if caps.shape != (graph.n_offline,):
         raise ValueError(f"capacity array has shape {caps.shape}, "
                          f"expected ({graph.n_offline},)")
-    caps = _whole_capacities(caps)
-    if np.any(caps < 0):
-        raise ValueError("capacities must be nonnegative")
-    return OptResult(size=_copies_matching(graph, caps))
+    return OptResult(size=_copies_matching(graph, _whole_capacities(caps, 0)))

@@ -23,19 +23,28 @@ from ._io import atomic_write
 from .degrees import DegreePMF
 
 
-def _whole_capacities(capacities) -> np.ndarray:
-    """``capacities`` as an array of whole numbers of an integer or float
-    dtype, or a ValueError naming the first value that is not whole (a
-    fraction, inf or nan) or a dtype that holds none (bool, strings).
-    Shared by matching and offline; it lives here because this module
-    imports no scipy, which the CLI must not load."""
+def _whole_capacities(capacities, low: int, high: int | None = None) -> np.ndarray:
+    """``capacities`` as an array of whole numbers in [low, high] (no upper
+    bound for None), or a ValueError naming the first value that is not
+    whole (a fraction, inf or nan) or out of bounds, with its bound, or a
+    dtype that holds none (bool, strings). Python ints past int64 come as an
+    object array and are compared exactly: the bounds are checked before any
+    cast, which would wrap or garble them. Shared by matching and offline;
+    it lives here because this module imports no scipy, which the CLI must
+    not load."""
     caps = np.asarray(capacities)
     if caps.dtype.kind == "f":
         bad = caps[~(np.isfinite(caps) & (caps == np.trunc(caps)))]
         if bad.size:
             raise ValueError(f"capacities must be whole numbers, got {bad[0]}")
-    elif caps.dtype.kind not in "iu":
+    elif caps.dtype.kind not in "iu" and not (caps.dtype.kind == "O" and all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            for c in caps.flat)):
         raise ValueError(f"capacities must be whole numbers, got dtype {caps.dtype}")
+    for bad, bound in ((caps < low, "nonnegative" if low == 0 else f"at least {low}"),
+                       (high is not None and caps > high, f"at most {high}")):
+        if np.any(bad):
+            raise ValueError(f"capacities must be {bound}, got {caps[bad][0]}")
     return caps
 
 

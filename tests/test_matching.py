@@ -76,11 +76,15 @@ def test_unknown_policy_and_bad_capacities():
     (1e300, r"at most 1000000, got 1e\+300"),
     ([1e20, 1.0], r"at most 1000000, got 1e\+20"),
     ([2**63 - 1, 1], "at most 1000000, got 9223372036854775807"),
+    ([2**64, 1], "at most 1000000, got 18446744073709551616"),
+    (2**64, "at most 1000000, got 18446744073709551616"),
+    (-2**64, "at least 1, got -18446744073709551616"),
 ])
 def test_fractional_and_bool_capacities_raise(caps, match):
     # each used to run truncated to an integer, or as capacity 1; the
     # too-large ones wrapped in the int64 cast, which gave a negative
-    # capacity total or blamed a capacity below 1
+    # capacity total or blamed a capacity below 1; Python ints past int64
+    # make an object array, which was rejected as "dtype object" unchecked
     seq = DegreeSequencePair.from_degrees([2, 1], [1, 1, 1])
     with pytest.raises(ValueError, match=match):
         run_policy(seq, caps, GREEDY, seed=0)

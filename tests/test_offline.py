@@ -141,10 +141,14 @@ def test_capacity_array_validation():
     ([[1, 1], [1, 1]], r"shape \(2, 2\), expected \(2,\)"),
     (3, r"shape \(\), expected \(2,\)"),
     ([2, -1], "nonnegative"),
+    (2**64, r"shape \(\), expected \(2,\)"),
+    (-2**64, r"shape \(\), expected \(2,\)"),
+    ([1, -2**64], "nonnegative, got -18446744073709551616"),
 ])
 def test_malformed_capacities_raise_naming_the_problem(caps, match):
     # each must raise, not be truncated ([0.5, 0.5] -> 0), accepted as a
-    # bool or a fraction, or fail inside numpy
+    # bool or a fraction, or fail inside numpy; Python ints past int64 make
+    # an object array, which was rejected as "dtype object" unchecked
     g = build_full_graph(DegreeSequencePair.from_degrees([2, 1], [1, 1, 1]), seed=0)
     with pytest.raises(ValueError, match=match):
         max_b_matching(g, caps)
@@ -155,6 +159,8 @@ def test_whole_float_and_zero_capacities_are_legal():
     assert max_b_matching(g, [2.0, 1.0]).size == max_b_matching(g, [2, 1]).size == 3
     assert max_b_matching(g, [0, 0]).size == 0
     assert max_b_matching(g, np.array([0, 1], dtype=np.uint8)).size == 1
+    # past int64 too: nonnegative is the only bound
+    assert max_b_matching(g, [2**64, 1]).size == 3
 
 
 def test_empty_graph():
