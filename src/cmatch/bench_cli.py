@@ -93,21 +93,18 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"field '{name}' must be {what}")
 
-        def is_int(x) -> bool:
-            return type(x) is int
-
         need(isinstance(self.experiment, str), "experiment", "a string")
         need(isinstance(self.outputs, str), "outputs", "a string")
         need(isinstance(self.n_values, list) and len(self.n_values) > 0
-             and all(is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
+             and all(degrees._is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
                      for n in self.n_values)
              and len(set(self.n_values)) == len(self.n_values),
              "n_values", f"a nonempty list of distinct integers in "
              f"[1, {degrees._MAX_SUPPORT}]")
-        need(is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
-        need(is_int(self.seed_base) and self.seed_base >= 0,
+        need(degrees._is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
+        need(degrees._is_int(self.seed_base) and self.seed_base >= 0,
              "seed_base", "an integer >= 0")
-        need(is_int(self.merge_capacity) and self.merge_capacity >= 1,
+        need(degrees._is_int(self.merge_capacity) and self.merge_capacity >= 1,
              "merge_capacity", "an integer >= 1")
         need(type(self.step) in (int, float)
              and _MIN_G_STEP <= self.step <= _MAX_G_STEP,
@@ -226,7 +223,7 @@ def _capacity_profile(spec) -> CapacityProfile:
         return UNIT_CAPACITY
     if kind == "fixed":
         return CapacityProfile.fixed(degrees._spec_field(
-            spec, "C", lambda C: degrees._is_int(C) and C >= 1, "an integer >= 1"))
+            spec, "C", degrees._is_int, "an integer"))
     return CapacityProfile.from_fractions(degrees._spec_field(
         spec, "p", degrees._is_real_list, "a list of numbers"))
 

@@ -50,6 +50,48 @@ def _points(s):
     return _unit_array(s) if isinstance(s, np.ndarray) else _unit(s)
 
 
+def _whole(values, name: str, low: int, high: int | None = None) -> np.ndarray:
+    """``values`` as an array of whole numbers in [low, high] (no upper
+    bound for None), or a ValueError naming ``name`` and the first value
+    that is not whole (a fraction, inf, nan, a bool numpy would upcast in a
+    list) or out of bounds, or a dtype that holds none (bool, strings).
+    Python ints past int64 stay exact in an object array until checked.
+    Every count passes it or :func:`_count`. It lives in this base module,
+    which imports no scipy: the CLI must not load scipy."""
+    vals = np.asarray(values)
+    if vals.dtype.kind == "f":
+        bad = vals[~(np.isfinite(vals) & (vals == np.trunc(vals)))]
+        if bad.size:
+            raise ValueError(f"{name} must be whole numbers, got {bad[0]}")
+    elif vals.dtype.kind not in "iu" and not (vals.dtype.kind == "O" and all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            for c in vals.flat)):
+        raise ValueError(f"{name} must be whole numbers, got dtype {vals.dtype}")
+    if not isinstance(values, np.ndarray):
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{name} must be whole numbers, got {v}")
+    for bad, bound in ((vals < low, "nonnegative" if low == 0 else f"at least {low}"),
+                       (high is not None and vals > high, f"at most {high}")):
+        if np.any(bad):
+            raise ValueError(f"{name} must be {bound}, got {vals[bad][0]}")
+    return vals
+
+
+def _count(value, name: str, low: int, high: int = 2**63 - 1) -> int:
+    """``value`` as an int in [low, high] by the rule of :func:`_whole`: a
+    Python or numpy integer, or a whole float such as 2.0; by default the
+    bound is int64's, past which no count can size an array."""
+    if type(value) is int and low <= value <= high:
+        return value
+    try:
+        if np.ndim(value) == 0:
+            return int(_whole(value, name, low, high))
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {low} and <= {high}, got {value!r}")
+
+
 def _horner(rev_coeffs: tuple, x):
     """Polynomial value at a float or elementwise on an array x,
     coefficients from the highest degree down; the empty tuple is the zero
@@ -98,9 +140,8 @@ class DegreePMF:
 
         Orders above ``k_max`` are identically zero.
         """
-        if order < 1:
-            raise ValueError("derivative order must be >= 1")
-        if order > self.k_max:
+        order = _count(order, "order", 1)
+        if order >= len(self.probs):  # above k_max
             return np.zeros_like(s, dtype=float) if isinstance(s, np.ndarray) else 0.0
         return _horner(self._deriv_rev(order), _points(s))
 
@@ -159,6 +200,8 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
     probs = probs / total
     last = np.nonzero(probs)[0]
     k_hi = int(last[-1]) if len(last) else 0
+    if k_hi > _MAX_SUPPORT:
+        raise ValueError(f"support reaches degree {k_hi}, past {_MAX_SUPPORT}")
     probs = probs[: k_hi + 1].copy()
     ks = np.arange(len(probs))
     mean = float(np.dot(ks, probs))
@@ -174,8 +217,7 @@ def _build(probs: np.ndarray, label: str) -> DegreePMF:
 
 def regular(d: int) -> DegreePMF:
     """Point mass at degree d (d-regular side)."""
-    if not 1 <= d <= _MAX_SUPPORT:
-        raise ValueError(f"regular degree must lie in [1, {_MAX_SUPPORT}]")
+    d = _count(d, "d", 1, _MAX_SUPPORT)
     probs = np.zeros(d + 1)
     probs[d] = 1.0
     return _build(probs, f"regular-{d}")
@@ -223,8 +265,7 @@ def from_spec(spec: dict) -> DegreePMF:
     """
     kind = _spec_kind(spec, _DEGREE_SPECS, "distribution")
     if kind == "regular":
-        d = _spec_field(spec, "d", _is_int, "an integer")
-        return regular(int(d))
+        return regular(_spec_field(spec, "d", _is_int, "an integer"))
     if kind == "poisson":
         c = _spec_field(spec, "c", lambda c: _is_real(c) and math.isfinite(c),
                         "a finite number")

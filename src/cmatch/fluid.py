@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import _MAX_SUPPORT, DegreePMF, _horner, dominates, explicit
+from .degrees import _MAX_SUPPORT, DegreePMF, _count, _horner, dominates, explicit
 
 # The G-ODE's output grid has round(1 / step) + 1 points, each solved on
 # its own, so its accuracy does not depend on step.
@@ -103,8 +103,7 @@ class CapacityProfile:
     @classmethod
     def fixed(cls, C: int) -> "CapacityProfile":
         """Every offline vertex has capacity C."""
-        if not 1 <= C <= _MAX_SUPPORT:
-            raise ValueError(f"capacity must lie in [1, {_MAX_SUPPORT}]")
+        C = _count(C, "C", 1, _MAX_SUPPORT)
         return cls._of([0.0] * (C - 1) + [1.0], f"fixed-{C}")
 
     @classmethod
@@ -246,8 +245,8 @@ def write_fluid_csv(curve: FluidCurve, path) -> None:
 def sup_deviation(traj, curve: FluidCurve) -> float:
     """Sup over the trajectory grid of |simulated - fluid| matched fraction."""
     steps = np.arange(traj.n_arrivals + 1)
-    sim = traj.matched_at_step / traj.capacity_total
-    ref = curve.matched_at(steps / traj.n_arrivals)
+    sim = traj.matched_at_step / traj._denominator
+    ref = curve.matched_at(steps / max(traj.n_arrivals, 1))
     return float(np.max(np.abs(sim - ref)))
 
 
@@ -362,8 +361,7 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     phi_u((s - 1) exp(-mean_v t) + 1 - F(t)) at `samples` random (t, s)
     points. Both sides are independent numerical paths.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample point")
+    samples = _count(samples, "samples", 1)
     curve = solve_G_capless(pmf_u, pmf_v, step)
     sys_traj = system if system is not None else solve_full_system(
         pmf_u, pmf_v, min(step, _MAX_SYSTEM_STEP))

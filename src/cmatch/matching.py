@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import _MAX_SUPPORT
-from .stream import (DegreeSequencePair, Multigraph, _whole_capacities,
-                     build_full_graph, decision_stream, pair_half_edges,
-                     pairing_stream)
+from .degrees import _MAX_SUPPORT, _count, _whole
+from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
+                     decision_stream, pair_half_edges, pairing_stream)
 
 GREEDY = "greedy"
 RANKING = "ranking"
@@ -91,6 +90,13 @@ class Trajectory:
         return int(self.matched_at_step[-1])
 
     @property
+    def _denominator(self) -> int:
+        """``capacity_total``, which the normalized readers divide by."""
+        if not self.capacity_total:
+            raise ValueError("the run has no offline capacity to normalize by")
+        return self.capacity_total
+
+    @property
     def checkpoints(self) -> tuple:
         """Histograms at the report steps, derived from the record."""
         return tuple(Checkpoint(step, *histograms_at(self, step))
@@ -104,7 +110,7 @@ def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
     n = seq.n_offline
     if capacities is None:
         return [1] * n + [0]
-    caps = _whole_capacities(capacities, 1, _MAX_SUPPORT).astype(np.int64)
+    caps = _whole(capacities, "capacities", 1, _MAX_SUPPORT).astype(np.int64)
     if caps.ndim == 0:
         caps = np.full(n, caps)
     elif caps.shape != (n,):
@@ -144,8 +150,10 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
+    if checkpoint_every is not None:
+        checkpoint_every = _count(checkpoint_every, "checkpoint_every", 1)
+    if not 0.0 <= bias <= 1.0:
+        raise ValueError(f"bias must lie in [0, 1], got {bias!r}")
     graph = build_full_graph(seq, seed)
     caps = _init_capacities(seq, capacities)
     initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
@@ -228,8 +236,7 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
     :func:`run_policy` draws, so the count equals
     ``run_policy(seq, capacities, "greedy", seed)``.
     """
-    if not isinstance(runs, (int, np.integer)) or isinstance(runs, bool) or runs < 1:
-        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+    runs = _count(runs, "runs", 1)
     caps = _init_capacities(seq, capacities)
     block = max(1, _BLOCK_SLOTS // max(1, seq.total_u_half_edges))
     off = seq.arrival_offsets
@@ -259,7 +266,7 @@ def matched_fraction_at(traj: Trajectory, s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
     idx = min(int(np.floor(s * traj.n_arrivals)), traj.n_arrivals)
-    return float(traj.matched_at_step[idx]) / traj.capacity_total
+    return float(traj.matched_at_step[idx]) / traj._denominator
 
 
 def histograms_at(traj: Trajectory, step: int) -> tuple:
@@ -279,7 +286,7 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
     left = traj.caps - np.bincount(picks[picks >= 0], minlength=n)
     spare = left > 0
     free_rem = rem[spare]
-    width = int(traj.caps.max()) + 1  # (degree, left) pairs as one key
+    width = int(traj.caps.max(initial=0)) + 1  # (degree, left) pairs as one key
     by_cap = _tally(free_rem * width + left[spare])
     return (_tally(free_rem), _tally(rem[~spare]),
             {divmod(key, width): count for key, count in by_cap.items()})

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .stream import Multigraph, _whole_capacities
+from .degrees import _whole
+from .stream import Multigraph
 
 
 @dataclass(frozen=True)
@@ -63,4 +64,4 @@ def max_b_matching(graph: Multigraph, capacities) -> OptResult:
     if caps.shape != (graph.n_offline,):
         raise ValueError(f"capacity array has shape {caps.shape}, "
                          f"expected ({graph.n_offline},)")
-    return OptResult(size=_copies_matching(graph, _whole_capacities(caps, 0)))
+    return OptResult(size=_copies_matching(graph, _whole(capacities, "capacities", 0)))

@@ -20,32 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import DegreePMF
-
-
-def _whole_capacities(capacities, low: int, high: int | None = None) -> np.ndarray:
-    """``capacities`` as an array of whole numbers in [low, high] (no upper
-    bound for None), or a ValueError naming the first value that is not
-    whole (a fraction, inf or nan) or out of bounds, with its bound, or a
-    dtype that holds none (bool, strings). Python ints past int64 come as an
-    object array and are compared exactly: the bounds are checked before any
-    cast, which would wrap or garble them. Shared by matching and offline;
-    it lives here because this module imports no scipy, which the CLI must
-    not load."""
-    caps = np.asarray(capacities)
-    if caps.dtype.kind == "f":
-        bad = caps[~(np.isfinite(caps) & (caps == np.trunc(caps)))]
-        if bad.size:
-            raise ValueError(f"capacities must be whole numbers, got {bad[0]}")
-    elif caps.dtype.kind not in "iu" and not (caps.dtype.kind == "O" and all(
-            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-            for c in caps.flat)):
-        raise ValueError(f"capacities must be whole numbers, got dtype {caps.dtype}")
-    for bad, bound in ((caps < low, "nonnegative" if low == 0 else f"at least {low}"),
-                       (high is not None and caps > high, f"at most {high}")):
-        if np.any(bad):
-            raise ValueError(f"capacities must be {bound}, got {caps[bad][0]}")
-    return caps
+from .degrees import _MAX_SUPPORT, DegreePMF, _count, _whole
 
 
 def pairing_stream(seed: int) -> np.random.Generator:
@@ -110,11 +85,12 @@ class DegreeSequencePair:
 
     @classmethod
     def from_degrees(cls, deg_u, deg_v) -> "DegreeSequencePair":
-        """Pair two raw degree sequences, padding the short side."""
-        deg_u = np.array(deg_u, dtype=np.int64)
-        deg_v = np.array(deg_v, dtype=np.int64)
-        if np.any(deg_u < 0) or np.any(deg_v < 0):
-            raise ValueError("degrees must be nonnegative")
+        """Pair two raw degree sequences, padding the short side; each is 1-D,
+        of whole numbers in [0, 10^6] (every law's bound), copied, then frozen."""
+        deg_u, deg_v = (_whole(deg, name, 0, _MAX_SUPPORT).astype(np.int64)
+                        for deg, name in ((deg_u, "deg_u"), (deg_v, "deg_v")))
+        if deg_u.ndim != 1 or deg_v.ndim != 1:
+            raise ValueError("deg_u and deg_v must be 1-D sequences")
         diff = int(deg_u.sum()) - int(deg_v.sum())
         deg_u.setflags(write=False)
         deg_v.setflags(write=False)
@@ -125,8 +101,7 @@ def sample_degree_sequences(pmf_u: DegreePMF, pmf_v: DegreePMF,
                             n: int, seed: int) -> DegreeSequencePair:
     """Draw i.i.d. degrees for n offline vertices and the matching number of
     arrivals, T = round(n * mean_u / mean_v)."""
-    if n < 1:
-        raise ValueError("need at least one offline vertex")
+    n = _count(n, "n", 1)
     if pmf_u.mean <= 0 or pmf_v.mean <= 0:
         raise ValueError("both degree laws need positive mean")
     t = int(np.floor(n * pmf_u.mean / pmf_v.mean + 0.5))
@@ -148,7 +123,8 @@ def pair_half_edges(seq: DegreeSequencePair, rng: np.random.Generator,
     arrival at a time.
     """
     slots = seq.slot_vertex
-    return rng.permuted(np.broadcast_to(slots, (runs, slots.size)), axis=1)
+    shape = (_count(runs, "runs", 1), slots.size)
+    return rng.permuted(np.broadcast_to(slots, shape), axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -566,6 +566,9 @@ def test_unread_field_is_exit_2(tmp_path, capsys, command, argv, fields, named):
     ("merge_capacity", 10**12, "1000000"),
     # below the bound itself, but it stretches regular-2 to 1.2e6 degrees
     ("merge_capacity", 600_000, "1000000"),
+    # about 3 MB of JSON each: one mass per degree or capacity level
+    ("model_u", {"kind": "explicit", "probs": [0] * (10**6 + 1) + [1]}, "1000000"),
+    ("capacities", {"kind": "profile", "p": [0] * 10**6 + [1]}, "1000000"),
 ])
 def test_giant_support_is_exit_2(tmp_path, capsys, field, spec, words):
     command = {"n_values": "simulate", "merge_capacity": "capacity-merge"}.get(

@@ -102,6 +102,13 @@ def test_explicit_trims_trailing_zeros():
     assert p.k_max == 1
 
 
+def test_explicit_support_is_bounded_after_trimming():
+    # the bound every law has; explicit built k_max = 1,000,001 unchecked
+    with pytest.raises(ValueError, match="1000001, past 1000000"):
+        explicit([0.0] * (10**6 + 1) + [1.0])
+    assert explicit([1.0] + [0.0] * (10**6 + 1)).k_max == 0
+
+
 def test_from_spec_round_trip():
     assert from_spec({"kind": "regular", "d": 3}).mean == 3.0
     assert from_spec({"kind": "poisson", "c": 2.0}).mean == pytest.approx(2.0, abs=1e-9)

@@ -181,6 +181,13 @@ def test_profile_validation():
     assert prof.max_capacity == 2
 
 
+def test_profile_levels_are_bounded_like_degrees():
+    # from_fractions built 1,000,001 levels unchecked
+    with pytest.raises(ValueError, match="1000001, past 1000000"):
+        CapacityProfile.from_fractions([0.0] * 10**6 + [1.0])
+    assert CapacityProfile.from_fractions([1.0] + [0.0] * 10**6).max_capacity == 1
+
+
 @pytest.mark.parametrize("fractions", [[0.5, 0.3, 0.2], [0.0, 0.0, 1.0],
                                        [0.2, 0.8, 0.0, 0.0], [1.0], [0.3, 0.3, 0.4]])
 def test_profile_is_the_degree_law_without_mass_at_zero(fractions):

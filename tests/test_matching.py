@@ -11,7 +11,8 @@ from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                              SMALLEST, choice_events, final_matched_counts,
                              histograms_at, matched_fraction_at, run_policy,
                              write_trajectory_csv)
-from cmatch.fluid import UNIT_CAPACITY, CapacityProfile, solve_full_system
+from cmatch.fluid import (UNIT_CAPACITY, CapacityProfile, solve_full_system,
+                          solve_G_capless, sup_deviation)
 from cmatch.stream import (DegreeSequencePair, decision_stream, pair_half_edges,
                            pairing_stream, sample_degree_sequences)
 
@@ -79,6 +80,10 @@ def test_unknown_policy_and_bad_capacities():
     ([2**64, 1], "at most 1000000, got 18446744073709551616"),
     (2**64, "at most 1000000, got 18446744073709551616"),
     (-2**64, "at least 1, got -18446744073709551616"),
+    # numpy upcasts a bool in a list of numbers: these ran as capacity 1
+    ([True, 2], "whole numbers, got True"),
+    ([2, np.True_], "whole numbers, got True"),
+    ([True, 2.0], "whole numbers, got True"),
 ])
 def test_fractional_and_bool_capacities_raise(caps, match):
     # each used to run truncated to an integer, or as capacity 1; the
@@ -227,6 +232,27 @@ def test_histogram_partition_and_half_edge_identities():
                       + sum(d * c for d, c in cp.saturated.items()))
         expect = initial - (consumed[cp.step - 1] if cp.step else 0)
         assert half_edges == expect
+
+
+@pytest.mark.parametrize("caps", [None, []])
+def test_a_run_without_offline_vertices_has_empty_histograms(caps):
+    # the reduction max() over no capacity raised inside numpy
+    traj = run_policy(DegreeSequencePair.from_degrees([], [1]), caps, GREEDY, seed=0)
+    assert traj.final_matched == 0
+    assert histograms_at(traj, 0) == histograms_at(traj, 1) == ({}, {}, {})
+
+
+def test_normalized_readers_refuse_a_run_without_capacity():
+    # matched_fraction_at divided by zero; sup_deviation returned nan
+    traj = run_policy(DegreeSequencePair.from_degrees([], [1]), None, GREEDY, seed=0)
+    curve = solve_G_capless(regular(2), regular(2), 1e-2)
+    with pytest.raises(ValueError, match="no offline capacity"):
+        matched_fraction_at(traj, 1.0)
+    with pytest.raises(ValueError, match="no offline capacity"):
+        sup_deviation(traj, curve)
+    # with no arrival the one grid point is s = 0, not 0 / 0
+    empty = run_policy(DegreeSequencePair.from_degrees([1], []), None, GREEDY, seed=0)
+    assert sup_deviation(empty, curve) == matched_fraction_at(empty, 0.5) == 0.0
 
 
 def test_missing_checkpoint_raises():
@@ -609,6 +635,14 @@ def test_biased_greedy_matches_its_bias():
             wins += won
             seed += 1
         assert abs(wins / events - bias) <= tol
+
+
+@pytest.mark.parametrize("bias", [5.0, -1.0, math.nan])
+def test_bias_outside_the_unit_interval_raises(bias):
+    # the coin gen.random(T) < bias ran every one of these silently
+    seq = sample_degree_sequences(regular(2), regular(2), 50, seed=0)
+    with pytest.raises(ValueError, match="bias"):
+        run_policy(seq, None, BIASED_GREEDY, seed=0, bias=bias)
 
 
 def test_biased_greedy_rejects_high_degrees():

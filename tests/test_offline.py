@@ -144,6 +144,9 @@ def test_capacity_array_validation():
     (2**64, r"shape \(\), expected \(2,\)"),
     (-2**64, r"shape \(\), expected \(2,\)"),
     ([1, -2**64], "nonnegative, got -18446744073709551616"),
+    # numpy upcasts a bool in a list of numbers: these ran as capacity 1
+    ([True, 2], "whole numbers, got True"),
+    ([1.0, True], "whole numbers, got True"),
 ])
 def test_malformed_capacities_raise_naming_the_problem(caps, match):
     # each must raise, not be truncated ([0.5, 0.5] -> 0), accepted as a
