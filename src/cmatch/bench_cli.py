@@ -102,13 +102,12 @@ class ExperimentConfig:
              "n_values", f"a nonempty list of distinct integers in "
              f"[1, {degrees._MAX_SUPPORT}]")
         need(degrees._is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
-        need(degrees._is_int(self.seed_base) and self.seed_base >= 0,
-             "seed_base", "an integer >= 0")
+        need(degrees._is_int(self.seed_base), "seed_base", "an integer")
+        last = 2**63 - self.runs  # so every run seed, seed_base + 0..runs-1, fits int64
+        _judged("seed_base", degrees._count, self.seed_base, "seed_base", 0, last)
         need(degrees._is_int(self.merge_capacity) and self.merge_capacity >= 1,
              "merge_capacity", "an integer >= 1")
-        need(type(self.step) in (int, float)
-             and _MIN_G_STEP <= self.step <= _MAX_G_STEP,
-             "step", f"a number in [{_MIN_G_STEP:g}, {_MAX_G_STEP:g}]")
+        _judged("step", degrees._real, self.step, "step", _MIN_G_STEP, _MAX_G_STEP)
         need(isinstance(self.policies, list), "policies", "a list")
         for p in self.policies:
             if p not in POLICIES:
@@ -222,18 +221,15 @@ def _capacity_profile(spec) -> CapacityProfile:
     if kind == "none":
         return UNIT_CAPACITY
     if kind == "fixed":
-        return CapacityProfile.fixed(degrees._spec_field(
-            spec, "C", degrees._is_int, "an integer"))
-    return CapacityProfile.from_fractions(degrees._spec_field(
-        spec, "p", degrees._is_real_list, "a list of numbers"))
+        return CapacityProfile.fixed(degrees._spec_field(spec, "C", integer=True))
+    return CapacityProfile.from_fractions(degrees._spec_field(spec, "p"))
 
 
 def _degree_law(spec) -> degrees.DegreePMF:
-    """The degree law that a ``model_u`` or ``model_v`` spec names; with mean
-    0 it has no half-edge to pair and no fluid curve."""
+    """The degree law, of positive mean, that a ``model_u`` or ``model_v``
+    spec names."""
     pmf = degrees.from_spec(spec)
-    if pmf.mean <= 0:
-        raise ValueError("the degree law needs a positive mean")
+    degrees._positive_means(pmf)
     return pmf
 
 
@@ -253,14 +249,17 @@ def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
     """(pmf_u, pmf_v, profile) of one model, each built from ``entry``
     where it names it and from ``cfg`` otherwise; a ConfigError names the
     first bad field."""
-    built = []
-    for name, build in zip(_ENTRY_FIELDS, (_degree_law, _degree_law,
-                                           _capacity_profile)):
-        try:
-            built.append(build(entry.get(name, getattr(cfg, name))))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"field '{where}{name}': {exc}") from exc
-    return tuple(built)
+    return tuple(_judged(where + name, build, entry.get(name, getattr(cfg, name)))
+                 for name, build in zip(_ENTRY_FIELDS, (_degree_law, _degree_law,
+                                                        _capacity_profile)))
+
+
+def _judged(name: str, judge, value, *args):
+    """``judge(value, *args)``; its error is a ConfigError naming field ``name``."""
+    try:
+        return judge(value, *args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field '{name}': {exc}") from exc
 
 
 def _prepare(cfg: ExperimentConfig, entry: dict | None = None):

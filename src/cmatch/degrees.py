@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,30 +25,14 @@ _DOMAIN_TOL = 1e-12
 # Largest support built for any law, degree or capacity; far past any mean
 # a simulation can use.
 _MAX_SUPPORT = 1_000_000
+# The largest Poisson mean whose support, up to c + 40 sqrt(c) + 100, fits.
+_MAX_POISSON_C = (math.sqrt(_MAX_SUPPORT + 300.0) - 20.0) ** 2
 # Tail mass beyond a truncated Poisson support.
 _POISSON_TAIL_EPS = 1e-12
 # Intervals of the uniform grid on which dominates compares two series.
 _DOMINANCE_GRID = 1000
-
-
-def _unit(x: float) -> float:
-    """Validate a scalar evaluation point, clamping float dust at the edges."""
-    x = float(x)
-    if x < -_DOMAIN_TOL or x > 1.0 + _DOMAIN_TOL:
-        raise ValueError(f"evaluation point {x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
-
-
-def _unit_array(x: np.ndarray) -> np.ndarray:
-    """Validate an array of evaluation points, clamping as :func:`_unit`."""
-    if np.any(x < -_DOMAIN_TOL) or np.any(x > 1.0 + _DOMAIN_TOL):
-        raise ValueError("evaluation points outside [0, 1]")
-    return np.clip(x, 0.0, 1.0)
-
-
-def _points(s):
-    """Validated evaluation points: an array for an array, else a float."""
-    return _unit_array(s) if isinstance(s, np.ndarray) else _unit(s)
+# The least positive float: a closed lower bound at it is the open bound at 0.
+_POSITIVE = math.nextafter(0.0, 1.0)
 
 
 def _whole(values, name: str, low: int, high: int | None = None) -> np.ndarray:
@@ -56,21 +41,17 @@ def _whole(values, name: str, low: int, high: int | None = None) -> np.ndarray:
     that is not whole (a fraction, inf, nan, a bool numpy would upcast in a
     list) or out of bounds, or a dtype that holds none (bool, strings).
     Python ints past int64 stay exact in an object array until checked.
-    Every count passes it or :func:`_count`. It lives in this base module,
-    which imports no scipy: the CLI must not load scipy."""
+    Every count passes it or :func:`_count`, every real :func:`_real`; they
+    live in this base module, which imports no scipy (the CLI must not)."""
     vals = np.asarray(values)
-    if vals.dtype.kind == "f":
-        bad = vals[~(np.isfinite(vals) & (vals == np.trunc(vals)))]
-        if bad.size:
-            raise ValueError(f"{name} must be whole numbers, got {bad[0]}")
-    elif vals.dtype.kind not in "iu" and not (vals.dtype.kind == "O" and all(
-            isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-            for c in vals.flat)):
-        raise ValueError(f"{name} must be whole numbers, got dtype {vals.dtype}")
-    if not isinstance(values, np.ndarray):
-        for v in np.asarray(values, dtype=object).flat:
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{name} must be whole numbers, got {v}")
+    kind = vals.dtype.kind
+    if kind == "O" and all(isinstance(c, (int, np.integer)) for c in vals.flat):
+        kind = "i"  # Python ints, some past int64
+    bad = f"dtype {vals.dtype}" if kind not in "iuf" else _listed_bool(values)
+    if bad is None and kind == "f":
+        bad = next(iter(vals[~(np.isfinite(vals) & (vals == np.trunc(vals)))]), None)
+    if bad is not None:
+        raise ValueError(f"{name} must be whole numbers, got {bad}")
     for bad, bound in ((vals < low, "nonnegative" if low == 0 else f"at least {low}"),
                        (high is not None and vals > high, f"at most {high}")):
         if np.any(bad):
@@ -81,7 +62,8 @@ def _whole(values, name: str, low: int, high: int | None = None) -> np.ndarray:
 def _count(value, name: str, low: int, high: int = 2**63 - 1) -> int:
     """``value`` as an int in [low, high] by the rule of :func:`_whole`: a
     Python or numpy integer, or a whole float such as 2.0; by default the
-    bound is int64's, past which no count can size an array."""
+    bound is int64's, past which no count can size an array. Seeds are
+    counts >= 0, and reals pass the sibling rule :func:`_real`."""
     if type(value) is int and low <= value <= high:
         return value
     try:
@@ -90,6 +72,35 @@ def _count(value, name: str, low: int, high: int = 2**63 - 1) -> int:
     except ValueError:
         pass
     raise ValueError(f"{name} must be an integer >= {low} and <= {high}, got {value!r}")
+
+
+def _real(value, name: str, low: float, high: float = sys.float_info.max) -> float:
+    """``value`` as a float in [low, high] (by default, any finite float), or
+    a ValueError naming ``name`` and the value: a Python or numpy real, never
+    a bool, a string, an array or nan. The sibling of :func:`_count`."""
+    real = type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
+    if real and low <= value <= high:  # exact even for ints past float's range
+        return float(value)
+    interval = ("(0" if low == _POSITIVE else f"[{low:g}") + f", {high:g}]"
+    big = "too large: " if real and value > high else ""
+    raise ValueError(f"{name} {big}must be a finite real in {interval}, got {value!r}")
+
+
+def _points(s, name: str, arrays: bool = True):
+    """Evaluation points in [0, 1], float dust at the edges clamped: a real
+    array for an array (if ``arrays``), else a float by the rule of
+    :func:`_real`. Strings, bools and nan raise a ValueError naming ``name``."""
+    if not (arrays and isinstance(s, np.ndarray)):
+        return min(max(_real(s, name, -_DOMAIN_TOL, 1.0 + _DOMAIN_TOL), 0.0), 1.0)
+    if s.dtype.kind not in "iuf" or not np.all(abs(s - 0.5) <= 0.5 + _DOMAIN_TOL):
+        raise ValueError(f"{name} must be real numbers in [0, 1], got {s!r}")
+    return np.clip(s, 0.0, 1.0)
+
+
+def _listed_bool(values):
+    """The first bool in a non-array input (numpy upcasts [True, 2]), or None."""
+    items = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    return next((v for v in items if isinstance(v, (bool, np.bool_))), None)
 
 
 def _horner(rev_coeffs: tuple, x):
@@ -133,7 +144,7 @@ class DegreePMF:
 
     def pgf(self, s):
         """Generating series ``sum_k p_k s^k`` for scalar or array s in [0, 1]."""
-        return _horner(self._deriv_rev(0), _points(s))
+        return _horner(self._deriv_rev(0), _points(s, "s"))
 
     def pgf_deriv(self, s, order: int = 1):
         """Order-th derivative of the generating series at s.
@@ -141,9 +152,10 @@ class DegreePMF:
         Orders above ``k_max`` are identically zero.
         """
         order = _count(order, "order", 1)
+        s = _points(s, "s")
         if order >= len(self.probs):  # above k_max
             return np.zeros_like(s, dtype=float) if isinstance(s, np.ndarray) else 0.0
-        return _horner(self._deriv_rev(order), _points(s))
+        return _horner(self._deriv_rev(order), s)
 
     def h_ratio(self, q: float) -> float:
         """Match-intensity ratio ``(1 - phi(q)) / (1 - q)``.
@@ -153,7 +165,7 @@ class DegreePMF:
         for laws with tiny mass above 0, the polynomial nowhere. ``h(1)``
         is the mean exactly.
         """
-        return self._h_core(_unit(q))
+        return self._h_core(_points(q, "q", arrays=False))
 
     def _h_core(self, q: float) -> float:
         """:meth:`h_ratio` at a q already clamped to [0, 1], unvalidated."""
@@ -185,18 +197,21 @@ class DegreePMF:
         return cached
 
 
-def _build(probs: np.ndarray, label: str) -> DegreePMF:
-    """Normalize, trim trailing zero mass and cache moments and tails."""
-    probs = np.asarray(probs, dtype=float)
+def _build(probs, label: str, name: str = "probs") -> DegreePMF:
+    """Judge ``probs`` (real masses, no bool even inside a list; errors name
+    ``name``), normalize, trim trailing zero mass, cache moments and tails."""
+    vals = np.asarray(probs)
+    bad = f"dtype {vals.dtype}" if vals.dtype.kind not in "iuf" else _listed_bool(probs)
+    if bad is not None:
+        raise ValueError(f"{name} must be real numbers, got {bad}")
+    probs = vals.astype(float)
     if probs.ndim != 1 or len(probs) == 0:
-        raise ValueError("probability array must be a nonempty vector")
-    if not np.isfinite(probs).all():
-        raise ValueError("probability mass must be finite")
-    if np.any(probs < 0):
-        raise ValueError("negative probability mass")
+        raise ValueError(f"{name} must be a nonempty 1-D sequence")
+    if not (np.isfinite(probs) & (probs >= 0)).all():
+        raise ValueError(f"{name} must be finite nonnegative masses")
     total = probs.sum()
     if abs(total - 1.0) > _INPUT_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1 within {_INPUT_TOL}")
+        raise ValueError(f"{name} sum to {total!r}, not 1 within {_INPUT_TOL}")
     probs = probs / total
     last = np.nonzero(probs)[0]
     k_hi = int(last[-1]) if len(last) else 0
@@ -231,14 +246,10 @@ def poisson(c: float) -> DegreePMF:
     ``exp(-c)`` never underflows for large c, and tail masses are summed
     from the top down, so the cut never rests on a difference ``1 - cdf``.
     """
-    if c <= 0:
-        raise ValueError("poisson parameter must be positive")
+    c = _real(c, "c", _POSITIVE, _MAX_POISSON_C)
     # 40 standard deviations (plus 100) past the mean: the mass beyond is
     # below 1e-60, so the top-down tail sums are exact to rounding.
     k_hi = int(c + 40.0 * math.sqrt(c) + 100.0)
-    if k_hi > _MAX_SUPPORT:
-        raise ValueError(f"poisson parameter {c!r} too large: support would "
-                         f"exceed {_MAX_SUPPORT} degrees")
     log_c = math.log(c)
     terms = np.array([math.exp(k * log_c - c - math.lgamma(k + 1))
                       for k in range(k_hi + 1)])
@@ -250,7 +261,7 @@ def poisson(c: float) -> DegreePMF:
 
 def explicit(probs, label: str = "explicit") -> DegreePMF:
     """Degree law from a raw probability array indexed by degree."""
-    return _build(np.asarray(probs, dtype=float), label)
+    return _build(probs, label)
 
 
 _DEGREE_SPECS = {"regular": ("d",), "poisson": ("c",), "explicit": ("probs",)}
@@ -265,25 +276,14 @@ def from_spec(spec: dict) -> DegreePMF:
     """
     kind = _spec_kind(spec, _DEGREE_SPECS, "distribution")
     if kind == "regular":
-        return regular(_spec_field(spec, "d", _is_int, "an integer"))
+        return regular(_spec_field(spec, "d", integer=True))
     if kind == "poisson":
-        c = _spec_field(spec, "c", lambda c: _is_real(c) and math.isfinite(c),
-                        "a finite number")
-        return poisson(float(c))
-    probs = _spec_field(spec, "probs", _is_real_list, "a list of numbers")
-    return explicit(probs)
+        return poisson(_spec_field(spec, "c"))
+    return explicit(_spec_field(spec, "probs"))
 
 
-def _is_int(x) -> bool:
+def _is_int(x) -> bool:  # the config's JSON-integer gate: 2.0 is no integer
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_real_list(xs) -> bool:
-    return isinstance(xs, list) and all(map(_is_real, xs))
 
 
 def _spec_kind(spec, kinds: dict, what: str) -> str:
@@ -300,16 +300,24 @@ def _spec_kind(spec, kinds: dict, what: str) -> str:
     return kind
 
 
-def _spec_field(spec: dict, name: str, ok, what: str):
-    """The spec's field ``name``, which must satisfy ``ok``; ``bool`` is
-    never a number here."""
+def _spec_field(spec: dict, name: str, integer: bool = False):
+    """The spec's field ``name``, a JSON integer if ``integer``; the law or
+    profile built from it judges every other value."""
     if name not in spec:
         raise ValueError(f"{spec['kind']} spec needs field '{name}'")
     value = spec[name]
-    if not ok(value):
-        raise ValueError(f"{spec['kind']} spec field '{name}' must be {what}, "
-                         f"not {value!r}")
+    if integer and not _is_int(value):
+        raise ValueError(f"{spec['kind']} spec field '{name}' must be an "
+                         f"integer, not {value!r}")
     return value
+
+
+def _positive_means(*laws: DegreePMF) -> tuple:
+    """The laws' means; a law of mean 0 has no half-edge to pair and no curve."""
+    for law in laws:
+        if law.mean <= 0:
+            raise ValueError(f"degree law {law.label} needs a positive mean")
+    return tuple(law.mean for law in laws)
 
 
 def dominates(pmf_a: DegreePMF, pmf_b: DegreePMF) -> bool:

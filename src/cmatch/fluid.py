@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import _MAX_SUPPORT, DegreePMF, _count, _horner, dominates, explicit
+from .degrees import (_MAX_SUPPORT, _POSITIVE, DegreePMF, _build, _count, _horner,
+                      _positive_means, _real, dominates)
 
 # The G-ODE's output grid has round(1 / step) + 1 points, each solved on
 # its own, so its accuracy does not depend on step.
@@ -110,7 +111,8 @@ class CapacityProfile:
     def _of(cls, fractions, label: str | None = None) -> "CapacityProfile":
         """The profile of the law [0, *fractions] under ``label``, which
         defaults to the law's ``profile-p_1,...,p_C`` label."""
-        law = explicit([0.0, *fractions])
+        law = _build([0.0, *fractions] if np.ndim(fractions) == 1 else fractions,
+                     "profile", "fractions")
         if label is None:
             label = "profile-" + ",".join(f"{v:g}" for v in law.probs[1:])
         return cls(p=law.probs, mean_cap=law.mean, cdf=law._cdf, label=label)
@@ -118,7 +120,8 @@ class CapacityProfile:
     def capacities(self, n: int) -> np.ndarray:
         """Capacity array of n vertices realizing the profile: vertex i gets
         the capacity c with round(n * cdf[c - 1]) <= i < round(n * cdf[c]),
-        and C if no such c exists."""
+        and C if no such c exists; n is a count >= 1."""
+        n = _count(n, "n", 1)
         bounds = np.floor(self.cdf[1:] * n + 0.5).astype(np.int64)
         caps = np.searchsorted(bounds, np.arange(n), side="right") + 1
         return np.minimum(caps, self.max_capacity)
@@ -156,12 +159,8 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     s_i = i * step is interpolated from them, then refined by Newton steps
     G <- G - (s(G) - s_i) f(G), s(G) being the edge value plus the rule on
     the partial panel. Every array on that path has the grid's length."""
-    if not _MIN_G_STEP <= step <= _MAX_G_STEP:
-        raise ValueError(f"step must lie in [{_MIN_G_STEP:g}, {_MAX_G_STEP:g}]")
-    mu_u = pmf_u.mean
-    mu_v = pmf_v.mean
-    if mu_u <= 0 or mu_v <= 0:
-        raise ValueError("both degree laws need positive mean")
+    step = _real(step, "step", _MIN_G_STEP, _MAX_G_STEP)
+    mu_u, mu_v = _positive_means(pmf_u, pmf_v)
     n_steps = round(1.0 / step)
     C = profile.max_capacity
     # phi_u^{(k)} is identically 0 for k > k_max, so only the first
@@ -292,12 +291,8 @@ def solve_full_system(pmf_u: DegreePMF, pmf_v: DegreePMF,
     half-edge mass in the denominators vanishes; endpoint values belong to
     the aggregated curve, whose s-parametrization reaches 1 cleanly.
     """
-    if not 0.0 < step <= _MAX_SYSTEM_STEP:
-        raise ValueError(f"step must lie in (0, {_MAX_SYSTEM_STEP}]")
-    mu_u = pmf_u.mean
-    mu_v = pmf_v.mean
-    if mu_u <= 0 or mu_v <= 0:
-        raise ValueError("both degree laws need positive mean")
+    step = _real(step, "step", _POSITIVE, _MAX_SYSTEM_STEP)
+    mu_u, mu_v = _positive_means(pmf_u, pmf_v)
     idx = np.arange(pmf_u.k_max + 1, dtype=float)
     loss = -mu_v * idx
     gain = mu_v * idx[1:]
@@ -362,6 +357,7 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     points. Both sides are independent numerical paths.
     """
     samples = _count(samples, "samples", 1)
+    seed = _count(seed, "seed", 0)
     curve = solve_G_capless(pmf_u, pmf_v, step)
     sys_traj = system if system is not None else solve_full_system(
         pmf_u, pmf_v, min(step, _MAX_SYSTEM_STEP))
@@ -392,9 +388,7 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
 
 def closed_form_2regular(s: float) -> tuple:
     """Exact (G, matched) on the 2-regular model: G = exp(s/2) - 1."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    g = math.exp(s / 2.0) - 1.0
+    g = math.exp(_real(s, "s", 0.0, 1.0) / 2.0) - 1.0
     return g, 1.0 - (1.0 - g) ** 2
 
 
@@ -402,8 +396,7 @@ def closed_form_er(c: float) -> float:
     """Exact endpoint on the Poisson(c)/Poisson(c) model:
     1 - log(2 - exp(-c)) / c. Below c = 1e-6 the direct form cancels
     catastrophically; the quadratic Taylor value c - c^2 is returned."""
-    if c <= 0:
-        raise ValueError("parameter must be positive")
+    c = _real(c, "c", _POSITIVE)
     if c < 1e-6:
         return c - c * c
     return 1.0 - math.log(2.0 - math.exp(-c)) / c

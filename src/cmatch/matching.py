@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import _MAX_SUPPORT, _count, _whole
+from .degrees import _MAX_SUPPORT, _count, _real, _whole
 from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
                      decision_stream, pair_half_edges, pairing_stream)
 
@@ -150,10 +150,10 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    seed = _count(seed, "seed", 0)
     if checkpoint_every is not None:
         checkpoint_every = _count(checkpoint_every, "checkpoint_every", 1)
-    if not 0.0 <= bias <= 1.0:
-        raise ValueError(f"bias must lie in [0, 1], got {bias!r}")
+    bias = _real(bias, "bias", 0.0, 1.0)
     graph = build_full_graph(seq, seed)
     caps = _init_capacities(seq, capacities)
     initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
@@ -263,9 +263,8 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
 def matched_fraction_at(traj: Trajectory, s: float) -> float:
     """Matching size after a proportion s of arrivals, normalized by the
     total capacity of the offline side."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    idx = min(int(np.floor(s * traj.n_arrivals)), traj.n_arrivals)
+    idx = min(int(np.floor(_real(s, "s", 0.0, 1.0) * traj.n_arrivals)),
+              traj.n_arrivals)
     return float(traj.matched_at_step[idx]) / traj._denominator
 
 
@@ -275,8 +274,10 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
 
     ``free`` maps residual degree to the count of real offline vertices
     with spare capacity, ``saturated`` likewise for exhausted vertices, and
-    ``free_by_capacity`` maps (residual degree, capacity left) pairs.
+    ``free_by_capacity`` maps (residual degree, capacity left) pairs. A
+    whole ``step`` outside 0..T raises KeyError, any other non-count ValueError.
     """
+    step = _count(step, "step", -2**63)
     if step not in range(traj.n_arrivals + 1):
         raise KeyError(f"step {step} lies outside 0..{traj.n_arrivals}")
     n, seq, row = traj.n_offline, traj.graph.seq, traj.graph.row

@@ -20,18 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import _MAX_SUPPORT, DegreePMF, _count, _whole
+from .degrees import _MAX_SUPPORT, DegreePMF, _count, _positive_means, _whole
 
 
 def pairing_stream(seed: int) -> np.random.Generator:
     """Random stream driving half-edge pairing for a run with this seed."""
-    return np.random.default_rng(2 * seed + 1)
+    return np.random.default_rng(2 * _count(seed, "seed", 0) + 1)
 
 
 def decision_stream(seed: int) -> random.Random:
     """Random stream driving policy decisions; independent of the pairing
     stream so every policy sees the identical realized graph."""
-    return random.Random(2 * seed + 2)
+    return random.Random(2 * _count(seed, "seed", 0) + 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +102,9 @@ def sample_degree_sequences(pmf_u: DegreePMF, pmf_v: DegreePMF,
     """Draw i.i.d. degrees for n offline vertices and the matching number of
     arrivals, T = round(n * mean_u / mean_v)."""
     n = _count(n, "n", 1)
-    if pmf_u.mean <= 0 or pmf_v.mean <= 0:
-        raise ValueError("both degree laws need positive mean")
-    t = int(np.floor(n * pmf_u.mean / pmf_v.mean + 0.5))
-    t = max(t, 1)
-    rng = np.random.default_rng(seed)
+    mu_u, mu_v = _positive_means(pmf_u, pmf_v)
+    t = max(int(np.floor(n * mu_u / mu_v + 0.5)), 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     deg_u = pmf_u.sample(rng, n)
     deg_v = pmf_v.sample(rng, t)
     return DegreeSequencePair.from_degrees(deg_u, deg_v)

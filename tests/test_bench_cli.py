@@ -495,6 +495,14 @@ def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_seed_override_past_int64_is_exit_2(tmp_path, capsys):
+    path = _write_config(tmp_path, _tiny_simulate_config(tmp_path / "o"))
+    # two runs, seeds seed_base and seed_base + 1, each a count within int64
+    assert main(["simulate", "--config", path, "--seed", str(2**63 - 1)]) == 2
+    assert "seed_base" in capsys.readouterr().err
+    assert main(["simulate", "--config", path, "--seed", str(2**63 - 2)]) == 0
+
+
 _MEAN_ZERO = {"kind": "explicit", "probs": [1.0]}
 _COMMANDS = ("fluid", "simulate", "compare", "capacity-merge")
 
