@@ -43,7 +43,7 @@ def _whole(values, name: str, low: int, high: int | None = None) -> np.ndarray:
     Python ints past int64 stay exact in an object array until checked.
     Every count passes it or :func:`_count`, every real :func:`_real`; they
     live in this base module, which imports no scipy (the CLI must not)."""
-    vals = np.asarray(values)
+    vals = _array(values, name)
     kind = vals.dtype.kind
     if kind == "O" and all(isinstance(c, (int, np.integer)) for c in vals.flat):
         kind = "i"  # Python ints, some past int64
@@ -95,6 +95,15 @@ def _points(s, name: str, arrays: bool = True):
     if s.dtype.kind not in "iuf" or not np.all(abs(s - 0.5) <= 0.5 + _DOMAIN_TOL):
         raise ValueError(f"{name} must be real numbers in [0, 1], got {s!r}")
     return np.clip(s, 0.0, 1.0)
+
+
+def _array(values, name: str) -> np.ndarray:
+    """``np.asarray(values)``, or for ragged nested sequences, which numpy
+    refuses without naming the argument, a ValueError naming ``name``."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must not be ragged nested sequences") from None
 
 
 def _listed_bool(values):
@@ -165,13 +174,8 @@ class DegreePMF:
         for laws with tiny mass above 0, the polynomial nowhere. ``h(1)``
         is the mean exactly.
         """
-        return self._h_core(_points(q, "q", arrays=False))
-
-    def _h_core(self, q: float) -> float:
-        """:meth:`h_ratio` at a q already clamped to [0, 1], unvalidated."""
-        if q == 1.0:
-            return self.mean
-        return _horner(self._rev_tail, q)
+        q = _points(q, "q", arrays=False)
+        return self.mean if q == 1.0 else _horner(self._rev_tail, q)
 
     # -- sampling -----------------------------------------------------------
 
@@ -200,7 +204,7 @@ class DegreePMF:
 def _build(probs, label: str, name: str = "probs") -> DegreePMF:
     """Judge ``probs`` (real masses, no bool even inside a list; errors name
     ``name``), normalize, trim trailing zero mass, cache moments and tails."""
-    vals = np.asarray(probs)
+    vals = _array(probs, name)
     bad = f"dtype {vals.dtype}" if vals.dtype.kind not in "iuf" else _listed_bool(probs)
     if bad is not None:
         raise ValueError(f"{name} must be real numbers, got {bad}")

@@ -18,10 +18,11 @@ which is inverted on the output grid by Newton steps; no scalar stepper runs.
 
 The module also integrates the full residual-degree density system (one
 equation per degree for free and saturated vertices) by classical RK4, a
-method independent of the quadrature, and checks it against
-the closed transport-equation solution along characteristic curves. On a
-characteristic that solution's F(t) is G(1 - exp(-mean_v t)), so the G-ODE
-is the only scalar ODE solved here.
+method independent of the quadrature, in characteristic time sigma
+(d sigma = dt / D, D the live half-edge mass), where its drift has no
+singularity. It checks the system against the closed transport-equation
+solution along characteristics, whose time is that sigma and whose F(t) is
+G(1 - exp(-mean_v t)), so the G-ODE is the only scalar ODE solved here.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write
-from .degrees import (_MAX_SUPPORT, _POSITIVE, DegreePMF, _build, _count, _horner,
-                      _positive_means, _real, dominates)
+from .degrees import (_MAX_SUPPORT, _POSITIVE, DegreePMF, _array, _build, _count,
+                      _horner, _positive_means, _real, dominates)
 
 # The G-ODE's output grid has round(1 / step) + 1 points, each solved on
 # its own, so its accuracy does not depend on step.
@@ -111,8 +112,8 @@ class CapacityProfile:
     def _of(cls, fractions, label: str | None = None) -> "CapacityProfile":
         """The profile of the law [0, *fractions] under ``label``, which
         defaults to the law's ``profile-p_1,...,p_C`` label."""
-        law = _build([0.0, *fractions] if np.ndim(fractions) == 1 else fractions,
-                     "profile", "fractions")
+        law = _build([0.0, *fractions] if _array(fractions, "fractions").ndim == 1
+                     else fractions, "profile", "fractions")
         if label is None:
             label = "profile-" + ",".join(f"{v:g}" for v in law.probs[1:])
         return cls(p=law.probs, mean_cap=law.mean, cdf=law._cdf, label=label)
@@ -255,8 +256,8 @@ def sup_deviation(traj, curve: FluidCurve) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SystemTrajectory:
-    """Residual-degree densities on a uniform time grid; time is measured in
-    arrivals per offline vertex."""
+    """Residual-degree densities on a grid uniform in characteristic time
+    sigma: t = (mean_u/mean_v)(1 - exp(-mean_v sigma)) arrivals per vertex."""
 
     t: np.ndarray
     free: np.ndarray
@@ -273,53 +274,52 @@ class SystemTrajectory:
         return self.free @ idx + self.saturated @ idx
 
 
+def _system_drift(pmf_u: DegreePMF, pmf_v: DegreePMF):
+    """dy/dsigma on states y = (f, m) of shape (..., 2, k_max + 1), free and
+    saturated densities by residual degree: the transport y_i' = -mean_v i y_i
+    + mean_v (i + 1) y_{i+1} on both rows, and the match flow h_v(q) (i + 1)
+    f_{i+1} from free i + 1 to saturated i, q = sum i m_i / sum i (f_i + m_i)."""
+    idx = np.arange(pmf_u.k_max + 1, dtype=float)
+    rate = pmf_v.mean * idx
+    tail = np.array(pmf_v._rev_tail[::-1])[:, None]  # h_v(q) = sum_j P(X > j) q^j
+    powers = np.arange(len(tail))
+    sign = np.array([[-1.0], [1.0]])  # the match flow leaves free, enters saturated
+
+    def drift(sigma, y: np.ndarray) -> np.ndarray:
+        mass = y @ idx
+        q = np.minimum(np.maximum(mass[..., 1] / mass.sum(axis=-1), 0.0), 1.0)
+        flow = (q[..., None, None] ** powers) @ tail * idx[1:] * y[..., :1, 1:]
+        dy = -rate * y
+        dy[..., :-1] += rate[1:] * y[..., 1:] + flow * sign
+        return dy
+
+    return drift
+
+
 def solve_full_system(pmf_u: DegreePMF, pmf_v: DegreePMF,
                       step: float = 1e-3) -> SystemTrajectory:
     """RK4 on the drift system for per-degree free/saturated densities.
 
-    The state is y = (f, m), free and saturated densities by residual degree
-    0..k_max, and its drift is one transport step
-
-        y_i' = (-mean_v i y_i + mean_v (i + 1) y_{i+1}) / D,
-
-    applied to both rows, plus the match flow h_v(q) (i + 1) f_{i+1} / D
-    from free degree i + 1 to saturated degree i, where D = sum_i i (f_i +
-    m_i) is the live half-edge mass and q = sum_i i m_i / D its saturated
-    share. Each stage costs O(k_max) time and memory.
-
-    Integration stops 10 steps short of t = mean_u / mean_v, where the live
-    half-edge mass in the denominators vanishes; endpoint values belong to
-    the aggregated curve, whose s-parametrization reaches 1 cleanly.
+    In t the drift divides by the live half-edge mass D = mean_u - mean_v t,
+    which vanishes at t = mean_u / mean_v; in sigma, d sigma = dt / D, it
+    does not (:func:`_system_drift`). ``step`` only sets the end, t_end =
+    mean_u/mean_v - 10 step (half the span, if shorter). The run takes
+    ceil(mean_v sigma_end max(50, k_max)) equal sigma-steps of O(k_max)
+    each; the k_max term keeps the densities of wide laws nonnegative.
     """
     step = _real(step, "step", _POSITIVE, _MAX_SYSTEM_STEP)
     mu_u, mu_v = _positive_means(pmf_u, pmf_v)
-    idx = np.arange(pmf_u.k_max + 1, dtype=float)
-    loss = -mu_v * idx
-    gain = mu_v * idx[1:]
-    h_v = pmf_v._h_core
-
-    def drift(t: float, y: np.ndarray) -> np.ndarray:
-        free_mass, sat_mass = (y @ idx).tolist()
-        denom = free_mass + sat_mass
-        q = min(max(sat_mass / denom, 0.0), 1.0)
-        flow = (h_v(q) / mu_v) * gain * y[0, 1:]
-        dy = loss * y
-        dy[:, :-1] += gain * y[:, 1:]
-        dy[0, :-1] -= flow
-        dy[1, :-1] += flow
-        return dy / denom
-
-    t_end = mu_u / mu_v - 10.0 * step
-    n_steps = max(1, int(math.floor(t_end / step + 1e-9)))
-    y0 = np.array([pmf_u.probs, np.zeros_like(idx)])
-    states = _rk4(drift, y0, step, n_steps)
+    rate_end = -math.log(min(10.0 * step * mu_v / mu_u, 0.5))  # mean_v sigma_end
+    n_steps = math.ceil(rate_end * max(50, pmf_u.k_max))
+    y0 = np.array([pmf_u.probs, np.zeros(pmf_u.k_max + 1)])
+    states = _rk4(_system_drift(pmf_u, pmf_v), y0, rate_end / mu_v / n_steps, n_steps)
     lows = states.min(axis=(1, 2))
     bad = np.flatnonzero(lows < -1e-10)
     if bad.size:
-        raise RuntimeError(f"density went negative ({lows[bad[0]]}) at step "
-                           f"{bad[0] - 1}; reduce the step size")
+        raise RuntimeError(f"density went negative ({lows[bad[0]]}) at "
+                           f"sigma-step {bad[0]} of {n_steps}")
     np.maximum(states, 0.0, out=states)
-    t = np.arange(n_steps + 1) * step
+    t = (mu_u / mu_v) * -np.expm1(np.arange(n_steps + 1) * (-rate_end / n_steps))
     return SystemTrajectory(t=t, free=states[:, 0], saturated=states[:, 1])
 
 
@@ -351,34 +351,34 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
 
     which under s = 1 - exp(-mean_v t) is the capacity-less G-ODE, so
     F(t) = G(1 - exp(-mean_v t)) is read off the solve_G_capless curve at
-    ``step``. The density system's generating series, evaluated at the
-    warped time (mean_u/mean_v)(1 - exp(-mean_v t)), is compared against
-    phi_u((s - 1) exp(-mean_v t) + 1 - F(t)) at `samples` random (t, s)
-    points. Both sides are independent numerical paths.
+    ``step``. This t is the system's sigma: the system (solved at ``step``,
+    at most 1e-3, unless given) is read on its sigma grid by cubic Hermite
+    interpolation, the drift at each node its slope, and its generating
+    series compared with phi_u((s - 1) exp(-mean_v t) + 1 - F(t)) at
+    `samples` random (t, s). The two sides are independent numerical paths.
     """
     samples = _count(samples, "samples", 1)
     seed = _count(seed, "seed", 0)
     curve = solve_G_capless(pmf_u, pmf_v, step)
     sys_traj = system if system is not None else solve_full_system(
         pmf_u, pmf_v, min(step, _MAX_SYSTEM_STEP))
-    mu_u = pmf_u.mean
-    mu_v = pmf_v.mean
-    tau_end = float(sys_traj.t[-1])
-    t_max = -math.log(1.0 - tau_end * mu_v / mu_u) / mu_v
+    mu_u, mu_v = pmf_u.mean, pmf_v.mean
+    nodes = -np.log1p(-sys_traj.t * (mu_v / mu_u)) / mu_v
 
     rng = np.random.default_rng(seed)
-    ts = rng.random(samples) * t_max
+    ts = rng.random(samples) * nodes[-1]
     ss = rng.random(samples)
     decay = np.exp(-mu_v * ts)
-    taus = (mu_u / mu_v) * (1.0 - decay)
-    f_at = curve.g_at(1.0 - decay)
-
-    lhs = _horner([np.interp(taus, sys_traj.t, col)
-                   for col in sys_traj.free.T[::-1]], ss)
-    arg = np.clip((ss - 1.0) * decay + 1.0 - f_at, 0.0, 1.0)
-    rhs = pmf_u.pgf(arg)
-    gap = np.abs(lhs - rhs)
-    return CharacteristicsReport(max_discrepancy=float(gap.max()),
+    rhs = pmf_u.pgf(np.clip((ss - 1.0) * decay + 1.0 - curve.g_at(1.0 - decay), 0.0, 1.0))
+    free = sys_traj.free
+    slope = _system_drift(pmf_u, pmf_v)(None, np.stack([free, sys_traj.saturated], 1))[:, 0]
+    j = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
+    h = (nodes[j + 1] - nodes[j])[:, None]
+    u = (ts - nodes[j])[:, None] / h
+    free_at = ((1.0 + 2.0 * u) * free[j] + u * h * slope[j]) * (1.0 - u) ** 2 \
+        + ((3.0 - 2.0 * u) * free[j + 1] - (1.0 - u) * h * slope[j + 1]) * u ** 2
+    lhs = _horner(list(free_at.T[::-1]), ss)
+    return CharacteristicsReport(max_discrepancy=float(np.abs(lhs - rhs).max()),
                                  t_values=ts, s_values=ss, lhs=lhs, rhs=rhs)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .degrees import _whole
+from .degrees import _array, _whole
 from .stream import Multigraph
 
 
@@ -60,7 +60,7 @@ def max_matching(graph: Multigraph) -> OptResult:
 def max_b_matching(graph: Multigraph, capacities) -> OptResult:
     """Exact optimum when offline vertex u may be matched capacities[u]
     times; capacities are integers >= 0, one per real offline vertex."""
-    caps = np.asarray(capacities)
+    caps = _array(capacities, "capacities")
     if caps.shape != (graph.n_offline,):
         raise ValueError(f"capacity array has shape {caps.shape}, "
                          f"expected ({graph.n_offline},)")

@@ -13,6 +13,7 @@ from cmatch.fluid import (CapacityProfile, closed_form_2regular, closed_form_er,
                           solve_full_system, solve_G_capless, verify_characteristics)
 from cmatch.matching import (BIASED_GREEDY, GREEDY, final_matched_counts,
                              histograms_at, matched_fraction_at, run_policy)
+from cmatch.offline import max_b_matching
 from cmatch.stream import (DegreeSequencePair, build_full_graph, decision_stream,
                            pair_half_edges, pairing_stream, sample_degree_sequences)
 
@@ -213,3 +214,17 @@ def test_masses_must_be_real_numbers(call, name, masses):
     # numpy upcasts [0, True] to int64: both built a law with a mass of 1
     with pytest.raises(ValueError, match=rf"^{name} must be real numbers, got"):
         call(masses)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda x: explicit(x), "probs"),
+    (lambda x: CapacityProfile.from_fractions(x), "fractions"),
+    (lambda x: DegreeSequencePair.from_degrees(x, [1, 2]), "deg_u"),
+    (lambda x: DegreeSequencePair.from_degrees([1, 2], x), "deg_v"),
+    (lambda x: run_policy(SEQ, x), "capacities"),
+    (lambda x: max_b_matching(build_full_graph(SEQ, 0), x), "capacities"),
+], ids=["explicit", "from_fractions", "deg_u", "deg_v", "run_policy", "max_b_matching"])
+def test_ragged_input_raises_naming_the_argument(call, name):
+    # numpy's own "inhomogeneous shape" error names no argument
+    with pytest.raises(ValueError, match=rf"^{name} must not be ragged"):
+        call([[1], [1, 2]])

@@ -357,6 +357,36 @@ def test_system_aggregate_matches_capless_curve():
         assert gap.max() <= 1e-4
 
 
+@pytest.mark.parametrize("pmf", [regular(200), poisson(50.0)],
+                         ids=["regular-200", "poisson-50"])
+def test_wide_laws_solve_without_negative_density(pmf):
+    # the k_max term of the sigma-step rule: with a fixed 200 sigma-steps
+    # RK4 drives both negative
+    system = solve_full_system(pmf, pmf, 1e-3)
+    assert system.free.min() >= 0.0 and system.saturated.min() >= 0.0
+    curve = solve_G_capless(pmf, pmf, 1e-4)
+    assert np.max(np.abs(system.matched_fraction() - curve.matched_at(system.t))) <= 1e-4
+
+
+def test_system_grid_is_the_sigma_grid_in_arrival_time():
+    pmf_u, pmf_v, step = regular(3), poisson(2.0), 1e-3
+    system = solve_full_system(pmf_u, pmf_v, step)
+    end = pmf_u.mean / pmf_v.mean
+    assert system.t[0] == 0.0 and np.all(np.diff(system.t) > 0.0)
+    assert abs(system.t[-1] - (end - 10.0 * step)) <= 1e-12 and system.t[-1] < end
+    line = pmf_u.mean - pmf_v.mean * system.t
+    assert np.max(np.abs(system.half_edge_mass() - line)) <= 1e-6
+
+
+def test_system_on_a_span_shorter_than_20_steps_stops_halfway():
+    # mean_u / mean_v = 1e-3 is 10 steps long: stopping 10 steps short
+    # would leave nothing to solve
+    pmf_u, pmf_v = poisson(1e-3), regular(1)
+    system = solve_full_system(pmf_u, pmf_v, 1e-3)
+    assert abs(system.t[-1] - 0.5 * pmf_u.mean) <= 1e-15
+    assert system.free.min() >= 0.0 and system.saturated.min() >= 0.0
+
+
 def test_system_step_validation():
     with pytest.raises(ValueError):
         solve_full_system(regular(2), regular(2), 5e-3)
@@ -376,6 +406,13 @@ def test_characteristics_report_small_discrepancy():
     assert report.max_discrepancy <= 5e-4
     assert len(report.t_values) == 50
     assert np.all(report.lhs >= -1e-9) and np.all(report.rhs >= -1e-9)
+
+
+@pytest.mark.parametrize("pmf", [regular(4), poisson(4.0)], ids=["regular-4", "poisson-4"])
+def test_characteristics_hermite_read_off_is_precise(pmf):
+    # a linear read of the system on its sigma grid lands near 1e-5
+    report = verify_characteristics(pmf, pmf, samples=100, step=1e-4, seed=0)
+    assert report.max_discrepancy <= 1e-8
 
 
 def _characteristic_by_rk4(pmf_u, pmf_v, t_max, step):
