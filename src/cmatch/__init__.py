@@ -9,7 +9,7 @@ The offline optima live in :mod:`cmatch.offline`, which is not imported
 here: it needs scipy.sparse, which no other module uses.
 """
 
-from .degrees import DegreePMF, dominates, explicit, from_spec, poisson, regular
+from .degrees import DegreePMF, dominates, explicit, poisson, regular
 from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
                      pair_half_edges, sample_degree_sequences, write_edge_list)
 from .matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
@@ -24,7 +24,7 @@ from .fluid import (UNIT_CAPACITY, CapacityProfile, CharacteristicsReport,
                     sup_deviation, verify_characteristics, write_fluid_csv)
 
 __all__ = [
-    "DegreePMF", "regular", "poisson", "explicit", "from_spec", "dominates",
+    "DegreePMF", "regular", "poisson", "explicit", "dominates",
     "DegreeSequencePair", "Multigraph", "sample_degree_sequences",
     "pair_half_edges", "build_full_graph", "write_edge_list",
     "GREEDY", "RANKING", "SMALLEST", "HIGHEST", "BIASED_GREEDY", "POLICIES",

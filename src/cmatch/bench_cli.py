@@ -21,6 +21,7 @@ import argparse
 import copy
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -96,16 +97,16 @@ class ExperimentConfig:
         need(isinstance(self.experiment, str), "experiment", "a string")
         need(isinstance(self.outputs, str), "outputs", "a string")
         need(isinstance(self.n_values, list) and len(self.n_values) > 0
-             and all(degrees._is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
+             and all(_is_int(n) and 1 <= n <= degrees._MAX_SUPPORT
                      for n in self.n_values)
              and len(set(self.n_values)) == len(self.n_values),
              "n_values", f"a nonempty list of distinct integers in "
              f"[1, {degrees._MAX_SUPPORT}]")
-        need(degrees._is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
-        need(degrees._is_int(self.seed_base), "seed_base", "an integer")
+        need(_is_int(self.runs) and self.runs >= 1, "runs", "an integer >= 1")
+        need(_is_int(self.seed_base), "seed_base", "an integer")
         last = 2**63 - self.runs  # so every run seed, seed_base + 0..runs-1, fits int64
         _judged("seed_base", degrees._count, self.seed_base, "seed_base", 0, last)
-        need(degrees._is_int(self.merge_capacity) and self.merge_capacity >= 1,
+        need(_is_int(self.merge_capacity) and self.merge_capacity >= 1,
              "merge_capacity", "an integer >= 1")
         _judged("step", degrees._real, self.step, "step", _MIN_G_STEP, _MAX_G_STEP)
         need(isinstance(self.policies, list), "policies", "a list")
@@ -120,7 +121,7 @@ class ExperimentConfig:
              "models", "a list or null")
         for i, entry in enumerate(self.models or []):
             need(isinstance(entry, dict) and set(entry) <= set(_ENTRY_FIELDS),
-                 f"models[{i}]", f"an object with fields among {_ENTRY_FIELDS}")
+                 f"models[{i}]", f"an object with fields among {tuple(_ENTRY_FIELDS)}")
             _resolve(self, entry, f"models[{i}].")
         return self
 
@@ -201,7 +202,19 @@ def load_config(config_path: str | None, preset: str | None,
 # shared helpers
 
 
-_ENTRY_FIELDS = ("model_u", "model_v", "capacities")
+# The config spec format, kept nowhere else: per family, each kind's one field
+# (or None), whether it must be a JSON integer, and the builder that judges it.
+_SPECS = {
+    "distribution": {"regular": ("d", True, degrees.regular),
+                     "poisson": ("c", False, degrees.poisson),
+                     "explicit": ("probs", False, degrees.explicit)},
+    "capacities": {"none": (None, False, lambda: UNIT_CAPACITY),
+                   "fixed": ("C", True, CapacityProfile.fixed),
+                   "profile": ("p", False, CapacityProfile.from_fractions)},
+}
+# The fields of one model, each a spec of the family it names.
+_ENTRY_FIELDS = {"model_u": "distribution", "model_v": "distribution",
+                 "capacities": "capacities"}
 _SHARED_FIELDS = ("experiment", "outputs", "step", "model_u", "model_v")
 _RUN_FIELDS = ("n_values", "runs", "seed_base")
 # The config fields each command reads; every other field must keep its
@@ -212,25 +225,33 @@ _COMMAND_FIELDS = {
     "compare": (*_SHARED_FIELDS, "capacities", *_RUN_FIELDS, "policies"),
     "capacity-merge": (*_SHARED_FIELDS, *_RUN_FIELDS, "merge_capacity"),
 }
-_CAPACITY_SPECS = {"none": (), "fixed": ("C",), "profile": ("p",)}
 
 
-def _capacity_profile(spec) -> CapacityProfile:
-    """The capacity profile that a ``capacities`` spec names."""
-    kind = degrees._spec_kind(spec, _CAPACITY_SPECS, "capacities")
-    if kind == "none":
-        return UNIT_CAPACITY
-    if kind == "fixed":
-        return CapacityProfile.fixed(degrees._spec_field(spec, "C", integer=True))
-    return CapacityProfile.from_fractions(degrees._spec_field(spec, "p"))
+def _is_int(x) -> bool:  # the config's JSON-integer gate: 2.0 is no integer
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _degree_law(spec) -> degrees.DegreePMF:
-    """The degree law, of positive mean, that a ``model_u`` or ``model_v``
-    spec names."""
-    pmf = degrees.from_spec(spec)
-    degrees._positive_means(pmf)
-    return pmf
+def _from_spec(spec, family: str):
+    """The law or profile that a ``family`` spec names: a dict of a 'kind'
+    in ``_SPECS[family]`` and the one field that kind reads, no other."""
+    kinds = _SPECS[family]
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{family} spec must be a dict with a 'kind': {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {family} kind {kind!r}")
+    name, integer, build = kinds[kind]
+    unknown = sorted(set(spec) - {"kind", name})
+    if unknown:
+        raise ValueError(f"{kind} spec has unknown field(s) {unknown}")
+    if name is None:
+        return build()
+    if name not in spec:
+        raise ValueError(f"{kind} spec needs field '{name}'")
+    if integer and not _is_int(spec[name]):
+        raise ValueError(f"{kind} spec field '{name}' must be an "
+                         f"integer, not {spec[name]!r}")
+    return build(spec[name])
 
 
 def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
@@ -248,10 +269,15 @@ def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
 def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
     """(pmf_u, pmf_v, profile) of one model, each built from ``entry``
     where it names it and from ``cfg`` otherwise; a ConfigError names the
-    first bad field."""
-    return tuple(_judged(where + name, build, entry.get(name, getattr(cfg, name)))
-                 for name, build in zip(_ENTRY_FIELDS, (_degree_law, _degree_law,
-                                                        _capacity_profile)))
+    first bad field, a degree law of mean 0 included (Poisson c <= 1e-12
+    trims to one)."""
+    built = []
+    for name, family in _ENTRY_FIELDS.items():
+        built.append(_judged(where + name, _from_spec,
+                             entry.get(name, getattr(cfg, name)), family))
+        if family == "distribution":
+            _judged(where + name, degrees._positive_means, built[-1])
+    return tuple(built)
 
 
 def _judged(name: str, judge, value, *args):
@@ -413,7 +439,7 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     c_merge = cfg.merge_capacity
     # the merged law stretches model_u's support by c_merge; bound it before
     # anything is written (validate cannot: other commands ignore c_merge)
-    support = degrees.from_spec(cfg.model_u).k_max * c_merge
+    support = _from_spec(cfg.model_u, "distribution").k_max * c_merge
     if support > degrees._MAX_SUPPORT:
         raise ConfigError(f"field 'merge_capacity': the merged law's support "
                           f"{support} exceeds {degrees._MAX_SUPPORT} degrees")

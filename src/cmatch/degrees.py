@@ -12,7 +12,6 @@ concurrent readers; random streams are never stored on the distribution.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -128,8 +127,8 @@ class DegreePMF:
 
     ``probs[k]`` is the probability of degree ``k``; the array always sums
     to 1 within 1e-12 (truncated tails are renormalized on construction).
-    Build instances through :func:`regular`, :func:`poisson`,
-    :func:`explicit` or :func:`from_spec`, not directly.
+    Build instances through :func:`regular`, :func:`poisson` or
+    :func:`explicit`, not directly.
     """
 
     probs: np.ndarray
@@ -266,54 +265,6 @@ def poisson(c: float) -> DegreePMF:
 def explicit(probs, label: str = "explicit") -> DegreePMF:
     """Degree law from a raw probability array indexed by degree."""
     return _build(probs, label)
-
-
-_DEGREE_SPECS = {"regular": ("d",), "poisson": ("c",), "explicit": ("probs",)}
-
-
-def from_spec(spec: dict) -> DegreePMF:
-    """Build a law from the distribution spec format used by configs.
-
-    Accepted shapes: ``{"kind": "regular", "d": int}``,
-    ``{"kind": "poisson", "c": real}``,
-    ``{"kind": "explicit", "probs": [real, ...]}``.
-    """
-    kind = _spec_kind(spec, _DEGREE_SPECS, "distribution")
-    if kind == "regular":
-        return regular(_spec_field(spec, "d", integer=True))
-    if kind == "poisson":
-        return poisson(_spec_field(spec, "c"))
-    return explicit(_spec_field(spec, "probs"))
-
-
-def _is_int(x) -> bool:  # the config's JSON-integer gate: 2.0 is no integer
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _spec_kind(spec, kinds: dict, what: str) -> str:
-    """The kind of a config spec: a dict naming one of ``kinds`` (kind ->
-    the fields it reads) and no field that kind does not read."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"{what} spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *kinds[kind]})
-    if unknown:
-        raise ValueError(f"{kind} spec has unknown field(s) {unknown}")
-    return kind
-
-
-def _spec_field(spec: dict, name: str, integer: bool = False):
-    """The spec's field ``name``, a JSON integer if ``integer``; the law or
-    profile built from it judges every other value."""
-    if name not in spec:
-        raise ValueError(f"{spec['kind']} spec needs field '{name}'")
-    value = spec[name]
-    if integer and not _is_int(value):
-        raise ValueError(f"{spec['kind']} spec field '{name}' must be an "
-                         f"integer, not {value!r}")
-    return value
 
 
 def _positive_means(*laws: DegreePMF) -> tuple:

@@ -45,7 +45,6 @@ _MAX_SYSTEM_STEP = 1e-3
 # Gauss-Legendre rule, (node, weight) pairs on [0, 1] in closed form: nodes
 # (1 -+ t) / 2, t^2 = 3/7 -+ (2/7) sqrt(6/5), weights (18 +- sqrt(30)) / 72.
 _G_PANELS = 4096
-_G_NEWTON_STEPS = 1
 _GAUSS_4 = tuple(
     ((1.0 + sign * math.sqrt(3.0 / 7.0 + side * 2.0 / 7.0 * math.sqrt(1.2))) / 2.0,
      (18.0 - side * math.sqrt(30.0)) / 72.0)
@@ -133,16 +132,15 @@ UNIT_CAPACITY = CapacityProfile._of([1.0], "none")
 
 
 def _rk4(slope, y0, h: float, n_steps: int) -> np.ndarray:
-    """Classical fixed-step RK4 for y' = slope(t, y) from t = 0: the states at
-    t = 0, h, ..., n_steps * h."""
+    """Classical fixed-step RK4 for the autonomous y' = slope(y) from t = 0:
+    the states at t = 0, h, ..., n_steps * h."""
     ys = [y0]
     y = y0
-    for i in range(n_steps):
-        t = i * h
-        k1 = slope(t, y)
-        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = slope(t + h, y + h * k3)
+    for _ in range(n_steps):
+        k1 = slope(y)
+        k2 = slope(y + 0.5 * h * k1)
+        k3 = slope(y + 0.5 * h * k2)
+        k4 = slope(y + h * k3)
         y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         ys.append(y)
     return np.array(ys)
@@ -157,32 +155,30 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     Each public solver is one call of it; none calls another.
 
     G inverts s(G) = int_0^G dg / f(g), cumulated at the panel edges: G at
-    s_i = i * step is interpolated from them, then refined by Newton steps
-    G <- G - (s(G) - s_i) f(G), s(G) being the edge value plus the rule on
-    the partial panel. Every array on that path has the grid's length."""
+    s_i = i * step is interpolated from them, then refined by one Newton
+    step G <- G - (s(G) - s_i) f(G), s(G) being the edge value plus the rule
+    on the partial panel. Every array on that path has the grid's length."""
     step = _real(step, "step", _MIN_G_STEP, _MAX_G_STEP)
     mu_u, mu_v = _positive_means(pmf_u, pmf_v)
     n_steps = round(1.0 / step)
-    C = profile.max_capacity
-    # phi_u^{(k)} is identically 0 for k > k_max, so only the first
-    # k_max + 1 levels of the matched sum, and k_max of the slope, count.
-    levels = min(C, pmf_u.k_max + 1)
     # survival[k] = P(c > k), and E[(c - k)^+] = sum_{j >= k} P(c > j)
-    survival = 1.0 - profile.cdf[:C]
-    coeffs = np.cumsum(survival[::-1])[::-1][:levels] / profile.mean_cap
-    terms = [(float(survival[k]), pmf_u._deriv_rev(k + 1))
-             for k in range(min(C, pmf_u.k_max))]
+    survival = 1.0 - profile.cdf[:profile.max_capacity]
+    coeffs = np.cumsum(survival[::-1])[::-1] / profile.mean_cap
 
-    def slope(g: np.ndarray) -> np.ndarray:
-        """f elementwise: one Horner pass per contributing level."""
-        total = 0.0
-        gk = 1.0
+    def level_sum(weights: np.ndarray, order: int, g: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] g^k/k! phi_u^{(k + order)}(1 - g) elementwise, one
+        Horner pass per level; phi_u^{(k)} is 0 for k > k_max, so levels
+        past k_max - order do not count."""
+        total, gk = 0.0, 1.0
         x = np.clip(1.0 - g, 0.0, 1.0)
-        for k, (w, rev) in enumerate(terms):
+        for k, w in enumerate(weights[:pmf_u.k_max + 1 - order]):
             if k:
                 gk = gk * g / k
-            total = total + w * gk * _horner(rev, x)
-        q = np.clip(1.0 - total / mu_u, 0.0, 1.0)
+            total = total + w * gk * _horner(pmf_u._deriv_rev(k + order), x)
+        return total
+
+    def slope(g: np.ndarray) -> np.ndarray:
+        q = np.clip(1.0 - level_sum(survival, 1, g) / mu_u, 0.0, 1.0)
         return _horner(pmf_v._rev_tail, q) / mu_v
 
     def s_gain(left: np.ndarray, width) -> np.ndarray:
@@ -193,18 +189,10 @@ def _g_curve(pmf_u: DegreePMF, pmf_v: DegreePMF, profile: CapacityProfile,
     cum = np.append(0.0, np.cumsum(s_gain(edges[:-1], 1.0 / _G_PANELS)))
     grid = np.arange(n_steps + 1) / n_steps
     G = np.interp(grid, cum, edges)
-    for _ in range(_G_NEWTON_STEPS):
-        panel = np.minimum(G * _G_PANELS, _G_PANELS - 1).astype(np.int64)
-        left = edges[panel]
-        G = G - (cum[panel] + s_gain(left, G - left) - grid) * slope(G)
-    x = np.clip(1.0 - G, 0.0, 1.0)
-    total = np.zeros_like(G)
-    gk = np.ones_like(G)
-    for k, ak in enumerate(coeffs):
-        if k:
-            gk = gk * G / k
-        total += ak * gk * _horner(pmf_u._deriv_rev(k), x)
-    return FluidCurve(grid=grid, G=G, matched=1.0 - total,
+    panel = np.minimum(G * _G_PANELS, _G_PANELS - 1).astype(np.int64)
+    left = edges[panel]
+    G = G - (cum[panel] + s_gain(left, G - left) - grid) * slope(G)
+    return FluidCurve(grid=grid, G=G, matched=1.0 - level_sum(coeffs, 0, G),
                       model_u=pmf_u.label, model_v=pmf_v.label,
                       capacity=profile.label, step=1.0 / n_steps)
 
@@ -285,7 +273,7 @@ def _system_drift(pmf_u: DegreePMF, pmf_v: DegreePMF):
     powers = np.arange(len(tail))
     sign = np.array([[-1.0], [1.0]])  # the match flow leaves free, enters saturated
 
-    def drift(sigma, y: np.ndarray) -> np.ndarray:
+    def drift(y: np.ndarray) -> np.ndarray:
         mass = y @ idx
         q = np.minimum(np.maximum(mass[..., 1] / mass.sum(axis=-1), 0.0), 1.0)
         flow = (q[..., None, None] ** powers) @ tail * idx[1:] * y[..., :1, 1:]
@@ -356,6 +344,8 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     interpolation, the drift at each node its slope, and its generating
     series compared with phi_u((s - 1) exp(-mean_v t) + 1 - F(t)) at
     `samples` random (t, s). The two sides are independent numerical paths.
+    A ``system`` not k_max + 1 wide, or not ending before t = mean_u/mean_v,
+    was solved for other laws: a ValueError names it.
     """
     samples = _count(samples, "samples", 1)
     seed = _count(seed, "seed", 0)
@@ -363,6 +353,13 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     sys_traj = system if system is not None else solve_full_system(
         pmf_u, pmf_v, min(step, _MAX_SYSTEM_STEP))
     mu_u, mu_v = pmf_u.mean, pmf_v.mean
+    widths = sorted({sys_traj.free.shape[-1], sys_traj.saturated.shape[-1]})
+    if widths != [pmf_u.k_max + 1]:
+        raise ValueError(f"system has densities of width {widths}, not pmf_u's "
+                         f"k_max + 1 = {pmf_u.k_max + 1}")
+    if not sys_traj.t[-1] < mu_u / mu_v:
+        raise ValueError(f"system ends at t = {float(sys_traj.t[-1])!r}, not below "
+                         f"mean_u/mean_v = {mu_u / mu_v!r}")
     nodes = -np.log1p(-sys_traj.t * (mu_v / mu_u)) / mu_v
 
     rng = np.random.default_rng(seed)
@@ -371,7 +368,7 @@ def verify_characteristics(pmf_u: DegreePMF, pmf_v: DegreePMF,
     decay = np.exp(-mu_v * ts)
     rhs = pmf_u.pgf(np.clip((ss - 1.0) * decay + 1.0 - curve.g_at(1.0 - decay), 0.0, 1.0))
     free = sys_traj.free
-    slope = _system_drift(pmf_u, pmf_v)(None, np.stack([free, sys_traj.saturated], 1))[:, 0]
+    slope = _system_drift(pmf_u, pmf_v)(np.stack([free, sys_traj.saturated], 1))[:, 0]
     j = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
     h = (nodes[j + 1] - nodes[j])[:, None]
     u = (ts - nodes[j])[:, None] / h

@@ -80,6 +80,31 @@ def test_bad_distribution_spec_names_field(tmp_path):
         load_config(path, None, None, None)
 
 
+def test_from_spec_round_trip(tmp_path):
+    # every kind of both spec families, each read through load_config
+    from cmatch.bench_cli import _resolve
+
+    laws = [({"kind": "regular", "d": 3}, 3.0),
+            ({"kind": "poisson", "c": 2.0}, pytest.approx(2.0, abs=1e-9)),
+            ({"kind": "explicit", "probs": [0.5, 0.5]}, 0.5)]
+    profiles = [({"kind": "none"}, "none"), ({"kind": "fixed", "C": 3}, "fixed-3"),
+                ({"kind": "profile", "p": [0.5, 0.5]}, "profile-0.5,0.5")]
+    for (law, mean), (caps, label) in zip(laws, profiles):
+        path = _write_config(tmp_path, _tiny_simulate_config(
+            tmp_path, model_u=law, model_v=law, capacities=caps))
+        pmf_u, pmf_v, profile = _resolve(load_config(path, None, None, None), {}, "")
+        assert pmf_u.mean == mean and pmf_v.mean == mean
+        assert profile.label == label
+    for bad in ({}, {"kind": "weird"}, {"kind": "regular"}, "regular", {"kind": "poisson"},
+                {"kind": ["regular"]}, {"kind": "regular", "d": 2, "c": 9},
+                {"kind": "explicit", "probs": [1.0], "d": 1},
+                # a Poisson law this thin trims to mean 0, as explicit([1.0]) is
+                {"kind": "poisson", "c": 1e-12}):
+        path = _write_config(tmp_path, _tiny_simulate_config(tmp_path, model_u=bad))
+        with pytest.raises(ConfigError, match="model_u"):
+            load_config(path, None, None, None)
+
+
 def test_overrides_apply(tmp_path):
     path = _write_config(tmp_path, _tiny_simulate_config(tmp_path))
     cfg = load_config(path, None, 99, str(tmp_path / "elsewhere"))
@@ -486,6 +511,8 @@ def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
     ("capacities", {"C": 2}),
     ("capacities", "fixed"),
     ("n_values", [200, 120, 200]),
+    # a kind of the other spec family
+    ("capacities", {"kind": "regular", "d": 2}),
 ])
 def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     path = _write_config(tmp_path, _tiny_simulate_config(
@@ -689,6 +716,8 @@ def test_biased_greedy_beyond_degree_two_is_exit_2(tmp_path, capsys, command):
     ("model_u", {"kind": "poisson", "c": "4"}),
     ("model_v", {"kind": "poisson", "c": True}),
     ("model_u", {"kind": "explicit", "probs": "0.5,0.5"}),
+    # a kind of the other spec family
+    ("model_u", {"kind": "fixed", "C": 2}),
 ])
 def test_mistyped_degree_spec_is_exit_2(tmp_path, capsys, side, spec):
     path = _write_config(tmp_path, _tiny_simulate_config(

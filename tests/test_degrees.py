@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
-from cmatch.degrees import dominates, explicit, from_spec, poisson, regular
+from cmatch.degrees import dominates, explicit, poisson, regular
 
 
 def pmf_zoo():
@@ -107,17 +107,6 @@ def test_explicit_support_is_bounded_after_trimming():
     with pytest.raises(ValueError, match="1000001, past 1000000"):
         explicit([0.0] * (10**6 + 1) + [1.0])
     assert explicit([1.0] + [0.0] * (10**6 + 1)).k_max == 0
-
-
-def test_from_spec_round_trip():
-    assert from_spec({"kind": "regular", "d": 3}).mean == 3.0
-    assert from_spec({"kind": "poisson", "c": 2.0}).mean == pytest.approx(2.0, abs=1e-9)
-    assert from_spec({"kind": "explicit", "probs": [0.5, 0.5]}).mean == 0.5
-    for bad in ({}, {"kind": "weird"}, {"kind": "regular"}, "regular", {"kind": "poisson"},
-                {"kind": ["regular"]}, {"kind": "regular", "d": 2, "c": 9},
-                {"kind": "explicit", "probs": [1.0], "d": 1}):
-        with pytest.raises(ValueError):
-            from_spec(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,18 @@ def test_characteristics_detects_a_perturbed_system():
     assert report.max_discrepancy > 5e-4
 
 
+@pytest.mark.parametrize("solved_for, read_with, words", [
+    # numpy's matmul "core dimension" error before
+    ((regular(3), regular(3)), (regular(4), regular(4)), "width"),
+    # a log1p warning, then "s must be real numbers in [0, 1]" before
+    ((regular(4), poisson(2.0)), (regular(4), regular(4)), "ends at t"),
+], ids=["narrower", "longer"])
+def test_characteristics_reject_a_system_of_other_laws(solved_for, read_with, words):
+    system = solve_full_system(*solved_for, 1e-3)
+    with pytest.raises(ValueError, match=f"^system .*{words}"):
+        verify_characteristics(*read_with, step=1e-3, system=system)
+
+
 def test_characteristics_step_obeys_the_g_solver_bound():
     with pytest.raises(ValueError):
         verify_characteristics(regular(4), regular(4), step=2e-2)

@@ -1,6 +1,6 @@
 """Source hygiene without a linter: every import in a package module is used,
-and every private module-level function or class is referenced somewhere in
-the package, so deleting a caller cannot leave dead code behind."""
+and every private module-level function, class or constant is referenced
+somewhere in the package, so deleting a caller cannot leave dead code behind."""
 
 import ast
 from pathlib import Path
@@ -30,23 +30,34 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def _module_level_names(tree: ast.Module):
+    """The names a module's body defines: functions, classes and the plain
+    names it assigns (its constants)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_private_function_and_class_is_referenced():
     # a reference is a name read, an attribute read (module._name) or an
-    # import by another module; a definition alone is not one
+    # import by another module; a definition or an assignment is not one,
+    # so a private constant is also unreferenced until something reads it
     referenced = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    unreferenced = [f"{path.name}:{node.name}" for path in MODULES
-                    for node in _tree(path).body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
-                    and node.name not in referenced]
+    unreferenced = [f"{path.name}:{name}" for path in MODULES
+                    for name in _module_level_names(_tree(path))
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in referenced]
     assert unreferenced == []
 
 
