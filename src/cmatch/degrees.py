@@ -114,10 +114,11 @@ def _listed_bool(values):
 def _horner(rev_coeffs: tuple, x):
     """Polynomial value at a float or elementwise on an array x,
     coefficients from the highest degree down; the empty tuple is the zero
-    polynomial."""
+    polynomial. On arrays the accumulator is made new, then updated in place."""
     acc = 0.0
     for c in rev_coeffs:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write
+from ._io import write_rows
 from .degrees import (_MAX_SUPPORT, _POSITIVE, DegreePMF, _array, _build, _count,
                       _horner, _positive_means, _real, dominates)
 
@@ -222,12 +222,9 @@ def solve_G_general_capacity(pmf_u: DegreePMF, pmf_v: DegreePMF,
 
 def write_fluid_csv(curve: FluidCurve, path) -> None:
     """CSV dump: a model-echo comment line, then s,G,matched rows."""
-    with atomic_write(path) as fh:
-        fh.write(f"# model_u={curve.model_u} model_v={curve.model_v} "
-                 f"capacity={curve.capacity} step={curve.step:.12g}\n")
-        fh.write("s,G,matched\n")
-        for s, g, m in zip(curve.grid, curve.G, curve.matched):
-            fh.write(f"{s:.12g},{g:.17g},{m:.17g}\n")
+    write_rows(path, f"# model_u={curve.model_u} model_v={curve.model_v} "
+               f"capacity={curve.capacity} step={curve.step:.12g}\ns,G,matched\n",
+               "%.12g,%.17g,%.17g\n", curve.grid, curve.G, curve.matched)
 
 
 def sup_deviation(traj, curve: FluidCurve) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write
+from ._io import write_rows
 from .degrees import _MAX_SUPPORT, _count, _real, _whole
 from .stream import (DegreeSequencePair, Multigraph, build_full_graph,
                      decision_stream, pair_half_edges, pairing_stream)
@@ -324,7 +324,5 @@ def choice_events(traj: Trajectory) -> tuple:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the per-step matching size, one ``step,matched`` row per step."""
-    with atomic_write(path) as fh:
-        fh.write("step,matched\n")
-        for k, m in enumerate(traj.matched_at_step):
-            fh.write(f"{k},{m}\n")
+    matched = traj.matched_at_step
+    write_rows(path, "step,matched\n", "%d,%d\n", np.arange(len(matched)), matched)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write
+from ._io import write_rows
 from .degrees import _MAX_SUPPORT, DegreePMF, _count, _positive_means, _whole
 
 
@@ -190,6 +190,4 @@ def write_edge_list(graph: Multigraph, path) -> None:
     seq = graph.seq
     v, u = seq.slot_arrival, graph.row
     flag = ((u == seq.n_offline) | (v == seq.n_arrivals)).astype(np.int64)
-    with atomic_write(path) as fh:
-        fh.write(f"{seq.n_offline} {seq.n_arrivals}\n")
-        fh.writelines(map("{} {} {}\n".format, v.tolist(), u.tolist(), flag.tolist()))
+    write_rows(path, f"{seq.n_offline} {seq.n_arrivals}\n", "%d %d %d\n", v, u, flag)

@@ -314,9 +314,9 @@ def test_one_sequence_per_n_and_seed(tmp_path, monkeypatch, command):
 
 
 class _FailingFile:
-    """Text file whose write raises after a few successful calls."""
+    """Text file whose write raises after its first successful call."""
 
-    def __init__(self, fh, budget=3):
+    def __init__(self, fh, budget=1):
         self.fh = fh
         self.budget = budget
 

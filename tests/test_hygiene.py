@@ -1,6 +1,7 @@
 """Source hygiene without a linter: every import in a package module is used,
 and every private module-level function, class or constant is referenced
-somewhere in the package, so deleting a caller cannot leave dead code behind."""
+somewhere in the package, so deleting a caller cannot leave dead code behind;
+and no text is written one row per call."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,22 @@ def test_package_exports_exactly_what_it_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(cmatch.__all__) == len(set(cmatch.__all__))
     assert set(cmatch.__all__) == imported
+
+
+def _write_calls(node: ast.AST):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr in ("write", "writelines")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_io.py"),
+                         ids=lambda p: p.name)
+def test_no_write_call_runs_per_row(path):
+    # text goes out through _io.write_rows, one block of rows per call; a
+    # write inside a loop body or a comprehension is per-row emission
+    looped = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            looped += [c for stmt in node.body + node.orelse for c in _write_calls(stmt)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            looped += _write_calls(node)
+    assert sorted({c.lineno for c in looped}) == []
