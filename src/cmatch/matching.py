@@ -9,8 +9,9 @@ each arrival's endpoints that is fixed before the run, so one scan serves
 them all: each arrival takes the first endpoint in its order with capacity
 left. The run records only that choice; histograms and choice events are
 derived from the record. The bulk Monte Carlo path
-:func:`final_matched_counts` runs the same scan over many pairing rows,
-once per distinct row when the pool is small.
+:func:`final_matched_counts` runs the same greedy over many pairing rows: in
+lockstep across a block's rows, one numpy step per slot, from 64 rows on, and
+by the scan row by row below; each block stays within ``_BLOCK_SLOTS`` cells.
 
 Orders of preference (endpoints with equal keys go in uniform order):
 
@@ -42,9 +43,12 @@ HIGHEST = "highest"
 BIASED_GREEDY = "biased_greedy"
 POLICIES = (GREEDY, RANKING, SMALLEST, HIGHEST, BIASED_GREEDY)
 
-# Half-edge slots per block of the bulk Monte Carlo path: bounds its memory
-# while keeping each vectorized step long enough to amortize its overhead.
-_BLOCK_SLOTS = 1 << 16
+# Cells per block of the bulk Monte Carlo path: bounds its memory while
+# keeping each vectorized step long enough to amortize its overhead.
+_BLOCK_SLOTS = 1 << 17
+# Rows from which a block runs greedy in lockstep rather than row by row;
+# below about 64 the scan wins on wide arrival slices (Poisson-4).
+_LOCKSTEP_ROWS = 64
 
 
 # The histograms of :func:`histograms_at` after ``step`` arrivals.
@@ -225,38 +229,57 @@ def _preference_order(policy: str, graph: Multigraph, rng_dec, bias: float):
     return order[np.argsort(t)]
 
 
+def _lockstep_greedy(rows: np.ndarray, off, caps: list) -> np.ndarray:
+    """Final greedy counts of many pairing rows at once, which it overwrites:
+    one numpy step per paired slot updates that slot's cell in every row's
+    own copy of ``caps``, held as one flat int32 table. Each count is the
+    capacity its row used up, the count :func:`_greedy_scan` gives the row."""
+    width = len(caps)
+    left = np.tile(np.array(caps, dtype=np.int32), len(rows))
+    rows += width * np.arange(len(rows))[:, None]  # ids become cells of left
+    cells = np.ascontiguousarray(rows.T)
+    todo = np.empty(len(rows), dtype=bool)  # rows whose arrival is unmatched
+    off = off.tolist()
+    for a, b in zip(off, off[1:]):
+        todo.fill(True)
+        for cell in cells[a:b]:
+            cur = left[cell]
+            ok = cur > 0
+            ok &= todo
+            todo ^= ok
+            left[cell] = cur - ok
+    return sum(caps) - left.reshape(len(rows), width).sum(axis=1, dtype=np.int64)
+
+
 def final_matched_counts(seq: DegreeSequencePair, capacities=None,
                          runs: int = 1, seed: int = 0) -> np.ndarray:
     """Final greedy matched counts over ``runs`` independent graphs.
 
     Bulk Monte Carlo path: blocks of rows of :func:`pair_half_edges`, each
-    row read by the scan of :func:`run_policy`. Small pools repeat rows, so
-    when a row's paired slots fit in one int64 key, each distinct row of a
-    block is scanned once. With ``runs=1`` it draws the very pairing
-    :func:`run_policy` draws, so the count equals
-    ``run_policy(seq, capacities, "greedy", seed)``.
+    run in lockstep (:func:`_lockstep_greedy`) from ``_LOCKSTEP_ROWS`` rows
+    on, else by the scan of :func:`run_policy` row by row. A block holds
+    ``_BLOCK_SLOTS // max(pool, N + 1)`` rows, N counting the vertices of
+    degree >= 1, so its rows and its capacity table fit in that many cells.
+    With ``runs=1`` it draws the very pairing :func:`run_policy` draws, so
+    the count equals ``run_policy(seq, capacities, "greedy", seed)``.
     """
     runs = _count(runs, "runs", 1)
-    caps = _init_capacities(seq, capacities)
-    block = max(1, _BLOCK_SLOTS // max(1, seq.total_u_half_edges))
+    # no row names a degree-0 vertex; dropped, the rest keep the same pairing
+    live = seq.deg_u > 0
+    caps = np.array(_init_capacities(seq, capacities))[np.append(live, True)].tolist()
+    seq = DegreeSequencePair.from_degrees(seq.deg_u[live], seq.deg_v)
+    block = max(1, _BLOCK_SLOTS // max(seq.total_u_half_edges, len(caps)))
     off = seq.arrival_offsets
-    paired = int(off[-1])
-    # a row holds ids 0..N; its paired slots pack into one int64 key when
-    # they take fewer than 63 bits
-    bits = (seq.n_offline + 1).bit_length()
-    shifts = bits * np.arange(paired) if paired * bits < 63 else None
     rng = pairing_stream(seed)
     out = np.empty(runs, dtype=np.int64)
     for lo in range(0, runs, block):
-        rows = pair_half_edges(seq, rng, min(block, runs - lo))[:, :paired]
-        scan = back = np.arange(len(rows))
-        if shifts is not None:
-            # disjoint bit fields: the sum is the row packed into one key
-            _, scan, back = np.unique((rows << shifts).sum(axis=1),
-                                      return_index=True, return_inverse=True)
-        chosen = (_greedy_scan(rows[i], off, caps.copy()) for i in scan.tolist())
-        matched = np.array([len(c) - c.count(-1) for c in chosen], dtype=np.int64)
-        out[lo:lo + len(rows)] = matched[back]
+        rows = pair_half_edges(seq, rng, min(block, runs - lo))[:, :off[-1]]
+        if len(rows) >= _LOCKSTEP_ROWS:
+            out[lo:lo + len(rows)] = _lockstep_greedy(rows, off, caps)
+        else:
+            for i, row in enumerate(rows, lo):
+                chosen = _greedy_scan(row, off, caps.copy())
+                out[i] = len(chosen) - chosen.count(-1)
     return out
 
 
@@ -275,9 +298,14 @@ def histograms_at(traj: Trajectory, step: int) -> tuple:
     ``free`` maps residual degree to the count of real offline vertices
     with spare capacity, ``saturated`` likewise for exhausted vertices, and
     ``free_by_capacity`` maps (residual degree, capacity left) pairs. A
-    whole ``step`` outside 0..T raises KeyError, any other non-count ValueError.
+    whole ``step`` in int64 but outside 0..T raises KeyError, any other
+    ValueError naming 0..T.
     """
-    step = _count(step, "step", -2**63)
+    try:
+        step = _count(step, "step", -2**63)
+    except ValueError:
+        raise ValueError(f"step must be an integer in 0..{traj.n_arrivals}, "
+                         f"got {step!r}") from None
     if step not in range(traj.n_arrivals + 1):
         raise KeyError(f"step {step} lies outside 0..{traj.n_arrivals}")
     n, seq, row = traj.n_offline, traj.graph.seq, traj.graph.row

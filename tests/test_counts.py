@@ -95,7 +95,8 @@ def test_a_step_that_is_no_count_raises_and_a_whole_step_outside_keyerror():
     for legal in (1.0, np.int64(1)):
         assert histograms_at(traj, legal) == histograms_at(traj, 1)
     for bad in (True, 1.5, "1", None, np.array([1]), 2**64):
-        with pytest.raises(ValueError, match=r"\bstep\b"):
+        with pytest.raises(ValueError, match=rf"^step must be an integer in "
+                                             rf"0\.\.{traj.n_arrivals}, got "):
             histograms_at(traj, bad)
     # callers read a KeyError as "no such step"
     for outside in (-1, -1.0, np.int64(4), 2**62):

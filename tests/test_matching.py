@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,29 +527,87 @@ def test_bulk_counts_couple_with_run_policy():
 def test_bulk_counts_do_not_depend_on_the_block_size(monkeypatch):
     # the rows come from one pairing stream in order, so grouping them into
     # blocks cannot change a count: one row per block, the default (the
-    # Poisson-2 pool of 620 slots puts 105 rows in a block, so its 120 runs
-    # take two blocks), and every row in one block
+    # Poisson-2 pool of 620 slots puts 211 rows in a block, so its 500 runs
+    # take three blocks), every row in one block, and blocks one row short
+    # of the lockstep and just long enough for it
     big = sample_degree_sequences(poisson(2.0), poisson(2.0), 300, seed=2)
     instances = [
         (DegreeSequencePair.from_degrees([2, 1], [1, 2, 1]), 2, 300),  # pad_u
         (DegreeSequencePair.from_degrees([3, 2, 1], [2, 1]), None, 300),  # pad_v
-        (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 120),
-        # N = 3 takes 3 bits per paired slot: 20 slots pack into one key,
-        # 21 do not
+        (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 500),
+        # 20 and 21 paired slots of 3 bits each: rows that do and do not
+        # pack into one int64 key
         (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 10), 2, 300),
         (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 9 + [3]), 2, 300),
     ]
     assert instances[0][0].pad_u > 0 and instances[1][0].pad_v > 0
     assert [3 * seq.arrival_offsets[-1] for seq, _, _ in instances[3:]] == [60, 63]
-    default = matching._BLOCK_SLOTS
-    assert default // big.total_u_half_edges < 120
+    default, lockstep = matching._BLOCK_SLOTS, matching._LOCKSTEP_ROWS
+    assert default // big.total_u_half_edges < 500 // 2
     for seq, caps, runs in instances:
+        size = max(seq.total_u_half_edges, seq.n_offline + 1)
         counts = []
-        for slots in (1, default, 2**24):
+        for slots in (1, default, 2**24, (lockstep - 1) * size, lockstep * size):
             monkeypatch.setattr(matching, "_BLOCK_SLOTS", slots)
             counts.append(final_matched_counts(seq, caps, runs=runs, seed=9))
         assert len(set(counts[0].tolist())) > 1
         assert all(np.array_equal(counts[0], c) for c in counts[1:])
+
+
+def test_a_block_runs_in_lockstep_from_lockstep_rows(monkeypatch):
+    # one row short, every row of a block is scanned on its own; from
+    # _LOCKSTEP_ROWS rows on, only the short last block is
+    seq = DegreeSequencePair.from_degrees([2, 1], [1, 2, 1])
+    scan, scanned = matching._greedy_scan, []
+    monkeypatch.setattr(matching, "_greedy_scan",
+                        lambda *args: scanned.append(1) or scan(*args))
+    rows = matching._LOCKSTEP_ROWS
+    for per_block, scans in ((rows - 1, 300), (rows, 300 % rows)):
+        monkeypatch.setattr(matching, "_BLOCK_SLOTS", per_block * seq.total_u_half_edges)
+        scanned.clear()
+        final_matched_counts(seq, 2, runs=300, seed=9)
+        assert len(scanned) == scans
+
+
+@pytest.mark.parametrize("caps", [10**6, [10**6, 1, 1]], ids=["all", "one"])
+def test_the_lockstep_holds_the_largest_capacity(caps):
+    # the lockstep keeps capacities in int32 cells: 10^6, the largest legal
+    # capacity, must neither wrap nor skew the capacity used up
+    seq = DegreeSequencePair.from_degrees([4, 1, 2], [2, 2, 3])
+    counts = final_matched_counts(seq, caps, runs=200, seed=11)
+    rows = pair_half_edges(seq, pairing_stream(11), 200)
+    assert counts.tolist() == [_replay_greedy(seq, r, caps)[-1] for r in rows]
+
+
+def test_bulk_memory_does_not_grow_with_degree_0_vertices():
+    # 2*10^5 degree-0 offline vertices beside a pool of 2 slots: a capacity
+    # table over every vertex, with blocks sized by the pool alone, would
+    # put all 1,000 runs in one block of about 800 MB
+    seq = DegreeSequencePair.from_degrees([0] * 200_000 + [1, 1], [1, 1])
+    tracemalloc.start()
+    try:
+        counts = final_matched_counts(seq, None, runs=1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    rows = pair_half_edges(seq, pairing_stream(3), 1000)
+    # the pool of two slots has two distinct rows, each replayed once
+    replay = {r.tobytes(): _replay_greedy(seq, r, None)[-1]
+              for r in np.unique(rows, axis=0)}
+    assert counts.tolist() == [replay[r.tobytes()] for r in rows]
+
+
+def test_bulk_counts_keep_each_capacity_with_its_vertex():
+    # dropping the degree-0 vertices renumbers the others and their
+    # capacities, and the balancing vertex, last, keeps none
+    seq = DegreeSequencePair.from_degrees([0, 2, 0, 1, 3, 0], [2, 2, 1, 2])
+    assert seq.pad_u > 0
+    caps = [5, 1, 7, 2, 1, 9]
+    counts = final_matched_counts(seq, caps, runs=300, seed=17)
+    rows = pair_half_edges(seq, pairing_stream(17), 300)
+    assert counts.tolist() == [_replay_greedy(seq, r, caps)[-1] for r in rows]
+    assert len(set(counts.tolist())) > 1
 
 
 @pytest.mark.parametrize("runs", [0, -1, 2.5, True, "3", None])
@@ -565,7 +624,7 @@ def test_bulk_counts_are_pinned():
     big = sample_degree_sequences(poisson(2.0), poisson(2.0), 300, seed=2)
     mid = sample_degree_sequences(poisson(3.0), poisson(3.0), 60, seed=5)
     reg = sample_degree_sequences(regular(2), regular(2), 30, seed=6)
-    assert matching._BLOCK_SLOTS // big.total_u_half_edges < 120  # two blocks
+    assert matching._BLOCK_SLOTS // big.total_u_half_edges < 500 // 2  # 3 blocks
     cases = [
         (DegreeSequencePair.from_degrees([2, 1], [1, 2, 1]), 2, 400, 1,  # pad_u
          "c1bf756b1092a881275c99fa33e3ab392f65cf998f455b51bc023f017d55acf2"),
@@ -583,6 +642,8 @@ def test_bulk_counts_are_pinned():
          "c7157d78e1aeb73284a014a43d9f35ac3b8847be711f0a51df74e5abd51828e8"),
         (DegreeSequencePair.from_degrees([2, 2, 2], [2] * 9 + [3]), 2, 300, 8,
          "e44f5074f76c46830b11d10eda15b3f3ad7084463f5806a4cd72383921debb85"),
+        (big, CapacityProfile.from_fractions([0.5, 0.3, 0.2]).capacities(300), 500, 9,
+         "0573c9406a89f82536097a008c2fbc8b91d02b26c40c9a582e9edbbd090bd0ac"),
     ]
     for seq, caps, runs, seed, digest in cases:
         counts = final_matched_counts(seq, caps, runs=runs, seed=seed)
