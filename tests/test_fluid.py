@@ -1,11 +1,12 @@
 """Fluid-limit solvers: closed forms, reductions, convergence, invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cmatch import poisson, regular, explicit
+from cmatch import fluid, poisson, regular, explicit
 from cmatch.fluid import (UNIT_CAPACITY, CapacityProfile, SystemTrajectory,
                           closed_form_2regular, closed_form_er,
                           compare_models, solve_full_system,
@@ -390,6 +391,80 @@ def test_system_on_a_span_shorter_than_20_steps_stops_halfway():
 def test_system_step_validation():
     with pytest.raises(ValueError):
         solve_full_system(regular(2), regular(2), 5e-3)
+
+
+def _reference_drift(pmf_u, pmf_v, f, m):
+    """dy/dsigma of one state written out per index: the transport on both
+    rows, and h_v(q) (i + 1) f_{i+1} moved from free to saturated i."""
+    k, mu = pmf_u.k_max + 1, pmf_v.mean
+    q = sum(i * m[i] for i in range(k)) / sum(i * (f[i] + m[i]) for i in range(k))
+    h = pmf_v.h_ratio(min(max(q, 0.0), 1.0))
+    df, dm = np.zeros(k), np.zeros(k)
+    for i in range(k):
+        df[i] = -mu * i * f[i]
+        dm[i] = -mu * i * m[i]
+        if i + 1 < k:
+            df[i] += mu * (i + 1) * f[i + 1] - h * (i + 1) * f[i + 1]
+            dm[i] += mu * (i + 1) * m[i + 1] + h * (i + 1) * f[i + 1]
+    return np.concatenate([df, dm])
+
+
+@pytest.mark.parametrize("pmf_u, pmf_v", [
+    (regular(4), regular(4)),
+    (poisson(4.0), poisson(4.0)),
+    (regular(3), poisson(2.0)),
+    (poisson(200.0), poisson(200.0)),
+], ids=["regular-4", "poisson-4", "regular-3/poisson-2", "poisson-200"])
+def test_system_drift_matches_a_per_index_reference(pmf_u, pmf_v):
+    k = pmf_u.k_max + 1
+    states = np.random.default_rng(k).random((5, 2 * k))
+    states /= states.sum(axis=1, keepdims=True)
+    refs = np.array([_reference_drift(pmf_u, pmf_v, y[:k], y[k:]) for y in states])
+    # errors are rounding on terms as large as mean_v k_max max(y)
+    tol = 1e-13 * pmf_v.mean * pmf_u.k_max * states.max()
+    drift = fluid._system_drift(pmf_u, pmf_v)
+    for y, ref in zip(states, refs):
+        assert np.max(np.abs(drift(y) - ref)) <= tol
+    stacked = drift(states)
+    assert stacked.shape == states.shape
+    assert np.max(np.abs(stacked - refs)) <= tol
+
+
+def test_rk4_step_is_the_fourth_order_taylor_polynomial():
+    a = np.random.default_rng(3).normal(size=(4, 4))
+    y0 = np.array([1.0, -0.5, 0.25, 2.0])
+    h, n_steps = 0.1, 3
+    ys = fluid._rk4(lambda y: a @ y, y0, h, n_steps)
+    assert ys.shape == (n_steps + 1, 4)
+    assert np.array_equal(ys[0], y0)
+    ha = h * a
+    step = np.eye(4) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+    assert np.max(np.abs(ys[1] - step @ y0)) <= 1e-15
+    assert np.max(np.abs(ys[-1] - np.linalg.matrix_power(step, n_steps) @ y0)) <= 1e-14
+    # any state shape: the rows are stacked states
+    ys = fluid._rk4(lambda y: -y, np.ones((2, 3)), h, 2)
+    assert ys.shape == (3, 2, 3) and np.all(ys[0] == 1.0)
+
+
+def test_system_trajectory_is_the_only_large_allocation():
+    pmf = poisson(200.0)
+    tracemalloc.start()
+    try:
+        system = solve_full_system(pmf, pmf, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of states copied into an array at the end peaks near 2x
+    assert peak <= 1.25 * (system.free.nbytes + system.saturated.nbytes)
+    assert system.free.shape == system.saturated.shape == (len(system.t), pmf.k_max + 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_system_refuses_a_state_not_finite_or_negative(monkeypatch, value):
+    monkeypatch.setattr(fluid, "_system_drift",
+                        lambda pmf_u, pmf_v: lambda y: np.full_like(y, value))
+    with pytest.raises(RuntimeError, match=r"at sigma-step 1 of 231$"):
+        solve_full_system(regular(4), regular(4), 1e-3)
 
 
 def test_characteristics_identity_at_time_zero():
