@@ -6,8 +6,9 @@ Subcommands: ``fluid | simulate | compare | capacity-merge``. Each accepts
 overrides. ``--seed`` sets ``seed_base``; run seeds are
 ``seed_base + run_index``, so outputs are reproducible byte for byte (the
 summary JSON carries the only timestamp). The three Monte Carlo commands
-share one run loop (:func:`_runs`): each (n, seed) draws one sequence pair,
-and every policy runs on its graph, so the policies are coupled run by run.
+share one run loop (:func:`_runs`): each (n, seed) draws one sequence pair
+and realizes its graph once, and every policy runs on that graph, so the
+policies are coupled run by run.
 A command given a field it does not read, set away from its default, exits
 2 naming the field: ``fluid`` draws nothing, so ``fluid --seed 3`` exits 2
 naming ``seed_base``.
@@ -34,9 +35,9 @@ from ._io import atomic_write
 from .fluid import (_MAX_G_STEP, _MIN_G_STEP, UNIT_CAPACITY, CapacityProfile,
                     FluidCurve, solve_G_general_capacity, sup_deviation,
                     write_fluid_csv)
-from .matching import (BIASED_GREEDY, GREEDY, POLICIES, RANKING, run_policy,
+from .matching import (BIASED_GREEDY, GREEDY, POLICIES, RANKING, _run_on_graph,
                        write_trajectory_csv)
-from .stream import sample_degree_sequences
+from .stream import build_full_graph, sample_degree_sequences
 
 SUMMARY_SCHEMA = {
     "type": "object",
@@ -367,19 +368,20 @@ def cmd_fluid(cfg: ExperimentConfig) -> dict:
 def _runs(cfg: ExperimentConfig, pmf_u, pmf_v, profile: CapacityProfile,
           policies: list, sizes: list, failures: list | None = None):
     """Yield (n, slot, trajectory) per n in ``sizes``, run seed and policy
-    slot: one sequence per (n, seed), every policy run on its graph. Given
-    ``failures``, a run that raises is skipped and recorded there in the
-    order n, slot, seed; otherwise it propagates."""
+    slot: one sequence and one realized graph per (n, seed), every policy
+    run on that graph. Given ``failures``, a run that raises is skipped and
+    recorded there in the order n, slot, seed; otherwise it propagates."""
     for n in sizes:
         caps = profile.capacities(n)
         failed = [[] for _ in policies]
         for seed in range(cfg.seed_base, cfg.seed_base + cfg.runs):
-            seq = None
+            graph = None
             for slot, policy in enumerate(policies):
                 try:
-                    if seq is None:  # a draw that raises is retried per slot
-                        seq = sample_degree_sequences(pmf_u, pmf_v, n, seed)
-                    traj = run_policy(seq, caps, policy, seed)
+                    if graph is None:  # a draw that raises is retried per slot
+                        graph = build_full_graph(
+                            sample_degree_sequences(pmf_u, pmf_v, n, seed), seed)
+                    traj = _run_on_graph(graph, caps, policy, seed)
                 except Exception as exc:  # keep remaining runs alive
                     if failures is None:
                         raise

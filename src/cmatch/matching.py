@@ -7,7 +7,7 @@ identical realized multigraph for a fixed (sequence, seed), which sharpens
 paired comparisons. Every policy is greedy over an order of preference on
 each arrival's endpoints that is fixed before the run, so one scan serves
 them all: each arrival takes the first endpoint in its order with capacity
-left. The run records only that choice; histograms and choice events are
+left. Each order is one value sort of integer keys (:func:`_preference_order`). The run records only that choice; histograms and choice events are
 derived from the record. The bulk Monte Carlo path
 :func:`final_matched_counts` runs the same greedy over many pairing rows: in
 lockstep across a block's rows, one numpy step per slot, from 64 rows on, and
@@ -107,19 +107,21 @@ class Trajectory:
                      for step in self.report_steps)
 
 
-def _init_capacities(seq: DegreeSequencePair, capacities) -> list:
-    """Capacity left per vertex; the balancing vertex, last, has none.
-    ``capacities`` is None (all 1), one whole number for every vertex, or
-    one per vertex; whole floats count, fractions and bools raise."""
+def _init_capacities(seq: DegreeSequencePair, capacities) -> tuple:
+    """Capacity left per vertex as a list, whose last entry is the balancing
+    vertex's 0, and the validated capacities of the real vertices as an
+    int64 array. ``capacities`` is None (all 1), one whole number for every
+    vertex, or one per vertex; whole floats count, fractions and bools raise."""
     n = seq.n_offline
     if capacities is None:
-        return [1] * n + [0]
-    caps = _whole(capacities, "capacities", 1, _MAX_SUPPORT).astype(np.int64)
-    if caps.ndim == 0:
-        caps = np.full(n, caps)
-    elif caps.shape != (n,):
-        raise ValueError(f"capacity array has shape {caps.shape}, expected ({n},)")
-    return caps.tolist() + [0]
+        caps = np.ones(n, dtype=np.int64)
+    else:
+        caps = _whole(capacities, "capacities", 1, _MAX_SUPPORT).astype(np.int64)
+        if caps.ndim == 0:
+            caps = np.full(n, caps)
+        elif caps.shape != (n,):
+            raise ValueError(f"capacity array has shape {caps.shape}, expected ({n},)")
+    return caps.tolist() + [0], caps
 
 
 def _greedy_scan(ends, off, caps: list) -> list:
@@ -145,24 +147,32 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                bias: float = 2.0 / 3.0) -> Trajectory:
     """Run one policy over the streamed graph and record its decisions.
 
-    The greedy scan (:func:`_greedy_scan`) of the row in the policy's order
-    of preference (:func:`_preference_order`), deterministic given
-    (seq, seed). The run keeps only its graph and each arrival's choice
-    (:class:`Trajectory`).
+    Realizes ``build_full_graph(seq, seed)`` and runs the policy on it
+    (:func:`_run_on_graph`): the greedy scan (:func:`_greedy_scan`) of the
+    row in the policy's order of preference (:func:`_preference_order`),
+    deterministic given (seq, seed). The run keeps only its graph and each
+    arrival's choice (:class:`Trajectory`).
     ``checkpoint_every`` only picks the report steps of ``checkpoints``: 0,
     every ``checkpoint_every`` arrivals, and T (by default 0 and T).
     """
+    return _run_on_graph(build_full_graph(seq, seed), capacities, policy, seed,
+                         checkpoint_every, bias)
+
+
+def _run_on_graph(graph: Multigraph, capacities, policy: str, seed: int,
+                  checkpoint_every: int | None = None,
+                  bias: float = 2.0 / 3.0) -> Trajectory:
+    """:func:`run_policy` on a graph already realized at ``seed``, so the
+    policies of one (sequence, seed) can share one realization."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     seed = _count(seed, "seed", 0)
     if checkpoint_every is not None:
         checkpoint_every = _count(checkpoint_every, "checkpoint_every", 1)
     bias = _real(bias, "bias", 0.0, 1.0)
-    graph = build_full_graph(seq, seed)
-    caps = _init_capacities(seq, capacities)
-    initial_caps = np.array(caps[:seq.n_offline], dtype=np.int64)
-    order = _preference_order(policy, graph, decision_stream(seed), bias)
-    ends = graph.row if order is None else graph.row[order]
+    seq = graph.seq
+    caps, initial_caps = _init_capacities(seq, capacities)
+    ends = _preference_order(policy, graph, decision_stream(seed), bias)
     chosen = np.array(_greedy_scan(ends, seq.arrival_offsets, caps), dtype=np.int64)
     n_arr = seq.n_arrivals
     every = checkpoint_every or max(1, n_arr)
@@ -173,46 +183,75 @@ def run_policy(seq: DegreeSequencePair, capacities=None, policy: str = GREEDY,
                       policy=policy, seed=seed)
 
 
+def _group_starts(u: np.ndarray) -> np.ndarray:
+    """For each entry of the sorted ``u``, the index where its run of equal
+    values starts."""
+    new = np.ones(len(u), dtype=bool)
+    np.not_equal(u[1:], u[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return np.repeat(starts, np.diff(starts, append=len(u)))
+
+
 def _visits(seq: DegreeSequencePair, row: np.ndarray) -> tuple:
     """The paired slots of ``row`` grouped by vertex, in pairing order
-    within a vertex: ``u = row[order]``, ``t`` each slot's arrival,
-    ``first`` marks a vertex's first slot in an arrival's slice (a visit),
-    ``pre`` its residual degree before that arrival paired its half-edges."""
+    within a vertex: ``u`` each slot's vertex, ``t`` its arrival, ``first``
+    marks a vertex's first slot in an arrival's slice (a visit), ``pre`` its
+    residual degree before that arrival paired its half-edges.
+
+    The grouping is one value sort of the unique keys row * paired + slot,
+    split again by ``divmod``."""
     paired = int(seq.arrival_offsets[-1])
-    pre = np.arange(paired)
-    # unique keys sort several times faster than a stable sort of the ids
-    order = np.argsort(row[:paired] * paired + pre)
-    u, t = row[order], seq.slot_arrival[order]
+    keys = row[:paired] * paired
+    keys += np.arange(paired)
+    keys.sort()
+    u, slot = np.divmod(keys, paired)
+    t = seq.slot_arrival[slot]
     first = np.ones(paired, dtype=bool)
     first[1:] = (u[1:] != u[:-1]) | (t[1:] != t[:-1])
     # in place, like the keys below, to keep few slot-sized arrays alive
-    np.maximum.accumulate(pre * first, out=pre)  # the visit's first slot
-    pre -= np.searchsorted(u, u)
-    np.subtract(np.bincount(row)[u], pre, out=pre)
-    return order, u, t, pre, first
+    pre = np.multiply(np.arange(paired), first, out=slot)
+    np.maximum.accumulate(pre, out=pre)  # the visit's first slot
+    pre -= _group_starts(u)  # slots of u paired before the visit
+    np.subtract(np.append(seq.deg_u, seq.pad_u)[u], pre, out=pre)
+    return u, t, pre, first
 
 
 def _preference_order(policy: str, graph: Multigraph, rng_dec, bias: float):
-    """Permutation of the paired slots of ``graph.row`` into the policy's
-    order of preference within each arrival's slice; None keeps pairing
-    order (greedy). Ties get one uniform rank per visit (see
-    :func:`_visits`): a vertex paired twice by one arrival holds one ticket."""
+    """The paired slots of ``graph.row`` with each arrival's slice put in
+    the policy's order of preference: the row the greedy scan reads. Greedy
+    keeps pairing order (``graph.row`` itself).
+
+    Each other order is one value sort of composite integer keys whose
+    leading part is the arrival, so every slice stays in place, and the
+    sorted keys decode back to vertices by arithmetic. Ranking's key is
+    arrival * (N + 1) + rank, its ranks one numpy permutation of the real
+    vertices seeded from ``rng_dec`` (the balancing vertex, never free,
+    ranks last). The lookahead keys are (arrival, level, tie) over the
+    visits of :func:`_visits`, a tie being one uniform draw per visit: a
+    vertex paired twice by one arrival holds one ticket, and the tie maps
+    back to its visit's vertex."""
     if policy == GREEDY:
-        return None
+        return graph.row
     seq, row, n = graph.seq, graph.row, graph.n_offline
     paired = int(seq.arrival_offsets[-1])
+    gen = np.random.default_rng(rng_dec.getrandbits(64))
     if policy == RANKING:
-        ranks = list(range(n))
-        rng_dec.shuffle(ranks)  # real vertices only; the balancing one is never free
-        rank = np.array(ranks + [n])
-        return np.argsort(seq.slot_arrival[:paired] * (n + 1) + rank[row[:paired]])
+        rank = np.append(gen.permutation(n), n)
+        vertex = np.empty_like(rank)  # the inverse: the vertex of each rank
+        vertex[rank] = np.arange(n + 1)
+        band = np.repeat(np.arange(seq.n_arrivals) * (n + 1), seq.deg_v)
+        keys = rank[row[:paired]]
+        keys += band
+        keys.sort()
+        keys -= band  # a sorted slice keeps its arrival's band
+        return vertex[keys]
 
-    order, u, t, pre, first = _visits(seq, row)
+    u, t, pre, first = _visits(seq, row)
     # each vertex is free when first revealed, at its full degree
     if policy == BIASED_GREEDY and (pre[u < n] > 2).any():
         raise ValueError("biased_greedy needs free endpoints of residual degree 1 or 2")
-    gen = np.random.default_rng(rng_dec.getrandbits(64))
     visit = np.cumsum(first) - 1
+    visit_vertex = u[first]
     del u, first
     if policy == BIASED_GREEDY:
         # one coin per arrival: residual-2 endpoints first with probability bias
@@ -225,8 +264,14 @@ def _preference_order(policy: str, graph: Multigraph, rng_dec, bias: float):
     t += level
     del pre, level
     t *= paired
-    t += gen.permutation(paired)[visit]
-    return order[np.argsort(t)]
+    tie = gen.permutation(paired)
+    t += tie[visit]
+    del visit
+    t.sort()
+    t %= paired  # each key's tie
+    vertex = np.empty(paired, dtype=np.int64)  # the vertex of each visit's tie
+    vertex[tie[:len(visit_vertex)]] = visit_vertex
+    return vertex[t]
 
 
 def _lockstep_greedy(rows: np.ndarray, off, caps: list) -> np.ndarray:
@@ -266,7 +311,7 @@ def final_matched_counts(seq: DegreeSequencePair, capacities=None,
     runs = _count(runs, "runs", 1)
     # no row names a degree-0 vertex; dropped, the rest keep the same pairing
     live = seq.deg_u > 0
-    caps = np.array(_init_capacities(seq, capacities))[np.append(live, True)].tolist()
+    caps = _init_capacities(seq, capacities)[1][live].tolist() + [0]
     seq = DegreeSequencePair.from_degrees(seq.deg_u[live], seq.deg_v)
     block = max(1, _BLOCK_SLOTS // max(seq.total_u_half_edges, len(caps)))
     off = seq.arrival_offsets
@@ -334,12 +379,12 @@ def choice_events(traj: Trajectory) -> tuple:
     whose residual degrees before this arrival paired its half-edges are 1
     and 2; a win is an event where the degree-2 endpoint was chosen.
     """
-    _, u, t, pre, first = _visits(traj.graph.seq, traj.graph.row)
+    u, t, pre, first = _visits(traj.graph.seq, traj.graph.row)
     # a vertex's first slot in an arrival's slice stands for it in that
     # decision, which saw it free unless earlier picks used up its capacity
     picked = first & (traj.chosen[t] == u)
     picks_before = np.cumsum(picked) - picked
-    used = picks_before - picks_before[np.searchsorted(u, u)]  # u's earlier picks
+    used = picks_before - picks_before[_group_starts(u)]  # u's earlier picks
     live = first & (used < np.append(traj.caps, 0)[u])
     t, u, pre = t[live], u[live], pre[live]
     offered = np.bincount(t, minlength=traj.n_arrivals)

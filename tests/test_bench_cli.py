@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from cmatch.bench_cli import (PRESETS, SUMMARY_SCHEMA, ConfigError,
                               cmd_capacity_merge, cmd_compare, cmd_fluid,
                               cmd_simulate, load_config, main, sign_test_p)
-from cmatch.matching import run_policy
-from cmatch.stream import sample_degree_sequences
+from cmatch.matching import _run_on_graph, run_policy
+from cmatch.stream import build_full_graph, sample_degree_sequences
 
 
 def _tiny_simulate_config(out, **overrides):
@@ -268,15 +268,17 @@ def _run_loop_command(tmp_path, command):
 
 
 # sha256 over "name<TAB>sha256 of the file" lines; summary.json is hashed
-# without its timestamp. compare's was recorded before the three commands
-# shared one run loop. simulate's and capacity-merge's were re-recorded when
-# the G-ODE became a quadrature: every trajectory CSV stayed byte-identical,
-# and only the fluid-derived sup_dev and fluid_endpoints moved, by <= 8.7e-15.
+# without its timestamp. capacity-merge's was re-recorded when the G-ODE
+# became a quadrature: every trajectory CSV stayed byte-identical, and only
+# the fluid-derived sup_dev and fluid_endpoints moved, by <= 8.7e-15.
+# simulate's and compare's were re-recorded when ranking's ranks became a
+# numpy permutation: a per-file diff showed that only the traj_ranking_*
+# files and the ranking rows and comparisons of summary.json changed.
 @pytest.mark.parametrize("command, files, digest", [
     ("simulate", 25,
-     "8342ae82bc82ee879739c338bdbe9fc5623c37a40539f60ef01abadc0ba9a232"),
+     "ad9188d68876713ab72de8516d68905680d5b99c26990d3738d3c1e57ae092ba"),
     ("compare", 1,
-     "76340a3289ea7abe5bcac1abe5ae08f4378db3098c07ee73ba87ae1db2d37df4"),
+     "c4437990f1dff7d64d989bad43e98cbfe8a70f8d70974f5a9af8f6289836478b"),
     ("capacity-merge", 1,
      "01a6e00702a75fff12014ec4c5b003f5a8d7225a19124ad34e08837764259dc7"),
 ], ids=["simulate", "compare", "capacity-merge"])
@@ -305,12 +307,32 @@ def test_one_sequence_per_n_and_seed(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(bench_cli, "sample_degree_sequences", spy)
     _run_loop_command(tmp_path, command)
+    assert calls == _once_per_n_and_seed(command)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "capacity-merge"])
+def test_one_graph_per_n_and_seed(tmp_path, monkeypatch, command):
+    from cmatch import bench_cli
+
+    calls = Counter()
+
+    def spy(seq, seed):
+        calls[seq.n_offline, seed] += 1
+        return build_full_graph(seq, seed)
+
+    monkeypatch.setattr(bench_cli, "build_full_graph", spy)
+    _run_loop_command(tmp_path, command)
+    assert calls == _once_per_n_and_seed(command)
+
+
+def _once_per_n_and_seed(command):
+    """One call per (n, seed) of the run-loop config of ``command``."""
     fields = {**_LOOP_CONFIG, **_LOOP_FIELDS[command]}
     # every policy runs on the one sequence; capacity-merge samples per arm
     sizes = ([m for n in fields["n_values"] for m in (n, n // 3)]
              if command == "capacity-merge" else fields["n_values"])
     seeds = range(fields["seed_base"], fields["seed_base"] + fields["runs"])
-    assert calls == Counter((n, seed) for n in sizes for seed in seeds)
+    return Counter((n, seed) for n in sizes for seed in seeds)
 
 
 class _FailingFile:
@@ -622,11 +644,11 @@ def test_cli_runs_record_only_initial_and_final_checkpoints(tmp_path, monkeypatc
     steps = []
 
     def spy(*args, **kwargs):
-        traj = run_policy(*args, **kwargs)
+        traj = _run_on_graph(*args, **kwargs)
         steps.append(([cp.step for cp in traj.checkpoints], traj.n_arrivals))
         return traj
 
-    monkeypatch.setattr(bench_cli, "run_policy", spy)
+    monkeypatch.setattr(bench_cli, "_run_on_graph", spy)
     for command in ("simulate", "compare", "capacity-merge"):
         cfg = _tiny_simulate_config(
             tmp_path / command, policies=["greedy", "ranking"], n_values=[100])
@@ -669,12 +691,12 @@ def test_main_runtime_failure_is_exit_1(tmp_path):
 
 def test_failed_simulate_runs_are_exit_1(tmp_path, capsys, monkeypatch):
     # no valid config makes a run fail, so the run itself is made to fail
-    def failing_run(seq, caps, policy, seed):
-        if (policy, seed) == ("ranking", 1) or (policy, seq.n_offline) == ("smallest", 200):
-            raise ValueError(f"{policy} fails at n={seq.n_offline} seed {seed}")
-        return run_policy(seq, caps, policy, seed)
+    def failing_run(graph, caps, policy, seed):
+        if (policy, seed) == ("ranking", 1) or (policy, graph.n_offline) == ("smallest", 200):
+            raise ValueError(f"{policy} fails at n={graph.n_offline} seed {seed}")
+        return _run_on_graph(graph, caps, policy, seed)
 
-    monkeypatch.setattr("cmatch.bench_cli.run_policy", failing_run)
+    monkeypatch.setattr("cmatch.bench_cli._run_on_graph", failing_run)
     out = tmp_path / "o"
     path = _write_config(tmp_path, _tiny_simulate_config(
         out, n_values=[500, 200], policies=["greedy", "ranking", "smallest"]))

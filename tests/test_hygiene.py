@@ -1,7 +1,7 @@
 """Source hygiene without a linter: every import in a package module is used,
 and every private module-level function, class or constant is referenced
 somewhere in the package, so deleting a caller cannot leave dead code behind;
-and no text is written one row per call."""
+no text is written one row per call; and the policy orders stay value sorts."""
 
 import ast
 from pathlib import Path
@@ -90,3 +90,13 @@ def test_no_write_call_runs_per_row(path):
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             looped += _write_calls(node)
     assert sorted({c.lineno for c in looped}) == []
+
+
+def test_policy_orders_take_no_index_sort_or_shuffle():
+    # every order of preference is a value sort of composite keys decoded by
+    # arithmetic; an argsort and gather, or a shuffle of a Python list, costs
+    # several times as much on the same keys
+    slow = ("argsort", "shuffle")
+    calls = [n for n in ast.walk(_tree(PACKAGE / "matching.py")) if isinstance(n, ast.Call)]
+    names = [(n.lineno, getattr(n.func, "attr", getattr(n.func, "id", None))) for n in calls]
+    assert [(line, name) for line, name in names if name in slow] == []

@@ -14,8 +14,8 @@ from cmatch.matching import (BIASED_GREEDY, GREEDY, HIGHEST, POLICIES, RANKING,
                              write_trajectory_csv)
 from cmatch.fluid import (UNIT_CAPACITY, CapacityProfile, solve_full_system,
                           solve_G_capless, sup_deviation)
-from cmatch.stream import (DegreeSequencePair, decision_stream, pair_half_edges,
-                           pairing_stream, sample_degree_sequences)
+from cmatch.stream import (DegreeSequencePair, build_full_graph, decision_stream,
+                           pair_half_edges, pairing_stream, sample_degree_sequences)
 
 from oracles import (exhaustive_greedy_expectation,
                      exhaustive_lookahead_expectation, tiny_instances)
@@ -123,22 +123,23 @@ def test_profile_arrays_run_as_none_and_int(policy):
         assert a.capacity_total == b.capacity_total
 
 
-def _replay_greedy(seq, row, caps) -> list:
-    """Matching size after each arrival, recomputed by hand from one
-    pairing row: each arrival takes its first endpoint with capacity left."""
+def _replay_choices(seq, row, caps) -> list:
+    """Each arrival's pick, -1 for none, recomputed by hand from one row:
+    each arrival takes its first endpoint with capacity left."""
     # the balancing vertex, last, is never matched
     left = np.broadcast_to(1 if caps is None else caps, seq.n_offline).tolist() + [0]
     row = row.tolist()
-    matched, off, sizes = 0, 0, [0]
+    off, chosen = 0, []
     for dv in seq.deg_v.tolist():
         endpoints, off = row[off:off + dv], off + dv
-        for u in endpoints:
-            if left[u] > 0:
-                left[u] -= 1
-                matched += 1
-                break
-        sizes.append(matched)
-    return sizes
+        chosen.append(next((u for u in endpoints if left[u] > 0), -1))
+        left[chosen[-1]] -= chosen[-1] >= 0
+    return chosen
+
+
+def _replay_greedy(seq, row, caps) -> list:
+    """Matching size after each arrival, from :func:`_replay_choices`."""
+    return [0] + np.cumsum(np.array(_replay_choices(seq, row, caps)) >= 0).tolist()
 
 
 def test_greedy_matches_first_free_endpoint_exactly():
@@ -237,23 +238,39 @@ def test_histogram_partition_and_half_edge_identities():
 
 @pytest.mark.parametrize("caps", [None, []])
 def test_a_run_without_offline_vertices_has_empty_histograms(caps):
-    # the reduction max() over no capacity raised inside numpy
-    traj = run_policy(DegreeSequencePair.from_degrees([], [1]), caps, GREEDY, seed=0)
-    assert traj.final_matched == 0
-    assert histograms_at(traj, 0) == histograms_at(traj, 1) == ({}, {}, {})
+    # the reduction max() over no capacity raised inside numpy; ranking's
+    # keys here step by N + 1 = 1 per arrival
+    for policy in POLICIES:
+        traj = run_policy(DegreeSequencePair.from_degrees([], [1]), caps, policy, seed=0)
+        assert traj.final_matched == 0
+        assert histograms_at(traj, 0) == histograms_at(traj, 1) == ({}, {}, {})
 
 
 def test_normalized_readers_refuse_a_run_without_capacity():
     # matched_fraction_at divided by zero; sup_deviation returned nan
-    traj = run_policy(DegreeSequencePair.from_degrees([], [1]), None, GREEDY, seed=0)
     curve = solve_G_capless(regular(2), regular(2), 1e-2)
-    with pytest.raises(ValueError, match="no offline capacity"):
-        matched_fraction_at(traj, 1.0)
-    with pytest.raises(ValueError, match="no offline capacity"):
-        sup_deviation(traj, curve)
-    # with no arrival the one grid point is s = 0, not 0 / 0
-    empty = run_policy(DegreeSequencePair.from_degrees([1], []), None, GREEDY, seed=0)
-    assert sup_deviation(empty, curve) == matched_fraction_at(empty, 0.5) == 0.0
+    for policy in POLICIES:
+        traj = run_policy(DegreeSequencePair.from_degrees([], [1]), None, policy, seed=0)
+        with pytest.raises(ValueError, match="no offline capacity"):
+            matched_fraction_at(traj, 1.0)
+        with pytest.raises(ValueError, match="no offline capacity"):
+            sup_deviation(traj, curve)
+        # with no arrival the one grid point is s = 0, not 0 / 0; no slot
+        # is paired, so the lookahead orders take their ties modulo 0
+        empty = run_policy(DegreeSequencePair.from_degrees([1], []), None, policy, seed=0)
+        assert sup_deviation(empty, curve) == matched_fraction_at(empty, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_run_whose_every_slot_lands_on_the_balancing_vertex(policy):
+    # the one real vertex has degree 0, so the arrival's 3 slots all pair
+    # with the balancing vertex, which is never free
+    seq = DegreeSequencePair.from_degrees([0], [3])
+    traj = run_policy(seq, None, policy, seed=2)
+    assert traj.graph.row.tolist() == [1, 1, 1]
+    assert traj.chosen.tolist() == [-1]
+    assert histograms_at(traj, 1) == ({0: 1}, {}, {(0, 1): 1})
+    assert choice_events(traj) == (0, 0)
 
 
 def test_missing_checkpoint_raises():
@@ -392,8 +409,8 @@ def test_ranking_takes_the_free_endpoint_of_least_rank(cap_kind):
     for k, seq in enumerate(_record_instances(RANKING)):
         caps, left = _capacities(cap_kind, seq.n_offline)
         traj = run_policy(seq, caps, RANKING, seed=k)
-        rank = list(range(seq.n_offline))
-        decision_stream(k).shuffle(rank)
+        gen = np.random.default_rng(decision_stream(k).getrandbits(64))
+        rank = gen.permutation(seq.n_offline).tolist()
         row, off = traj.graph.row.tolist(), seq.arrival_offsets.tolist()
         for a, b, pick in zip(off, off[1:], traj.chosen.tolist()):
             free = [u for u in row[a:b] if u < seq.n_offline and left[u] > 0]
@@ -431,6 +448,103 @@ def test_a_vertex_paired_twice_holds_one_tie_ticket():
     seq = DegreeSequencePair.from_degrees([2, 1], [3])
     picks = [run_policy(seq, None, SMALLEST, seed=s).chosen[0] for s in range(5000)]
     assert abs(np.mean(np.array(picks) == 0) - 0.5) <= 0.02
+
+
+def _index_sorted_ends(policy, graph, seed, bias=2.0 / 3.0):
+    """The paired slots of ``graph.row`` in the policy's order, built as
+    index sorts did: an ``argsort`` of the same composite keys, then a
+    gather of the row, from the draws the run takes at ``seed``."""
+    seq, n = graph.seq, graph.n_offline
+    paired = int(seq.arrival_offsets[-1])
+    row, arrival = graph.row[:paired], seq.slot_arrival[:paired]
+    if policy == GREEDY:
+        return row
+    gen = np.random.default_rng(decision_stream(seed).getrandbits(64))
+    if policy == RANKING:
+        rank = np.append(gen.permutation(n), n)
+        return row[np.argsort(arrival * (n + 1) + rank[row])]
+    order = np.argsort(row * paired + np.arange(paired))
+    u, t = row[order], arrival[order]
+    first = np.ones(paired, dtype=bool)
+    first[1:] = (u[1:] != u[:-1]) | (t[1:] != t[:-1])
+    seen = np.maximum.accumulate(np.arange(paired) * first) - np.searchsorted(u, u)
+    pre = np.bincount(graph.row, minlength=n + 1)[u] - seen
+    visit = np.cumsum(first) - 1
+    if policy == BIASED_GREEDY:
+        level = (pre == 2) ^ (gen.random(seq.n_arrivals) < bias)[t]
+    else:
+        post = pre - np.bincount(visit)[visit]
+        level = post if policy == SMALLEST else post.max(initial=0) - post
+    key = (t * (int(level.max(initial=0)) + 1) + level) * paired
+    return row[order[np.argsort(key + gen.permutation(paired)[visit])]]
+
+
+_ORDER_INSTANCES = [
+    ([2, 1], [3]),              # one arrival pairs vertex 0 twice
+    ([3, 1, 2], [2, 2, 2]),     # vertices paired twice, several arrivals
+    ([1, 2], [2, 2, 1]),        # the balancing vertex on the offline side
+    ([3, 2, 1, 2], [2, 3, 1]),  # the balancing arrival holds the tail
+    ([0], [3]),                 # every slot on the balancing vertex
+    ([2, 2, 1, 2], [0, 2, 0, 3, 2]),
+]
+
+
+@pytest.mark.parametrize("cap_kind", ["none", "fixed-2", "profile"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_order_equals_its_index_sorted_reference(policy, cap_kind):
+    # the value sort and its decode give the row an argsort of the same
+    # keys and a gather give, and the run scans that row
+    top = 2 if policy == BIASED_GREEDY else 4
+    pmf = regular(2) if policy == BIASED_GREEDY else poisson(3.0)
+    seqs = [DegreeSequencePair.from_degrees(*degrees) for degrees in _ORDER_INSTANCES]
+    seqs += [sample_degree_sequences(pmf, poisson(2.0), 150, seed=7),
+             sample_degree_sequences(pmf, poisson(4.0), 150, seed=8)]
+    for seq in seqs:
+        if seq.deg_u.max(initial=0) > top:
+            continue
+        paired = int(seq.arrival_offsets[-1])
+        caps = _capacities(cap_kind, seq.n_offline)[0]
+        for seed in range(4):
+            graph = build_full_graph(seq, seed)
+            ends = matching._preference_order(policy, graph, decision_stream(seed),
+                                              2.0 / 3.0)
+            ref = _index_sorted_ends(policy, graph, seed)
+            assert ends[:paired].tolist() == ref.tolist()
+            traj = run_policy(seq, caps, policy, seed=seed)
+            assert traj.chosen.tolist() == _replay_choices(seq, ref, caps)
+
+
+def test_non_ranking_choices_are_pinned():
+    # sha256 of every run's choices as the index-sorted orders gave them
+    # before the orders became value sorts; ranking's rank draw changed
+    profile = CapacityProfile.from_fractions([0.5, 0.3, 0.2])
+    cases = [
+        (sample_degree_sequences(poisson(4.0), poisson(4.0), 2000, seed=1), None, 1),
+        (sample_degree_sequences(poisson(3.0), poisson(2.0), 800, seed=2), 2, 2),  # pad_v
+        (sample_degree_sequences(poisson(2.0), poisson(3.0), 800, seed=3),  # pad_u
+         profile.capacities(800), 3),
+        (sample_degree_sequences(regular(2), poisson(2.0), 1500, seed=4), None, 4),
+        (sample_degree_sequences(regular(2), regular(2), 1500, seed=5),
+         profile.capacities(1500), 5),
+    ]
+    for seed in range(10):
+        cases += [(DegreeSequencePair.from_degrees([2, 1], [3]), None, seed),
+                  (DegreeSequencePair.from_degrees([2, 2, 1], [0, 2, 0, 3]), [1, 2, 1], seed),
+                  (DegreeSequencePair.from_degrees([3, 2, 1, 2], [2, 3, 1]), 2, seed),
+                  (DegreeSequencePair.from_degrees([0], [3]), None, seed),
+                  (DegreeSequencePair.from_degrees([1, 2], [2, 2, 1]), None, seed)]
+    pinned = {
+        GREEDY: "5451cf8e32de58f2fba2bfccf5de1f9aa9c498c3c8be2af927303745b02ad438",
+        SMALLEST: "6ebc743f4d1220fc82d3fd36370122c6755b2625d73fe757302fd4337b3ed2db",
+        HIGHEST: "dd35419bd5ade78bac5e5ec8a381f78d648fe91e0f8bada1c699e065c3c017b5",
+        BIASED_GREEDY: "e619ccb3cff253f3863b1e10c9fa6e5f4a6e76130f75595dc356b673038c470b",
+    }
+    for policy, digest in pinned.items():
+        h = hashlib.sha256()
+        for seq, caps, seed in cases:
+            if policy != BIASED_GREEDY or seq.deg_u.max(initial=0) <= 2:
+                h.update(run_policy(seq, caps, policy, seed=seed).chosen.tobytes())
+        assert h.hexdigest() == digest, policy
 
 
 def _counted_choice_events(traj):
