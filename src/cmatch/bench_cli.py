@@ -90,7 +90,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check each field's type, then its value; a ConfigError names the
-        first bad field."""
+        first bad field. Builds each spec once, into ``self.resolved``: one
+        (pmf_u, pmf_v, profile) per ``models`` entry, or the top-level one."""
         def need(ok: bool, name: str, what: str) -> None:
             if not ok:
                 raise ConfigError(f"field '{name}' must be {what}")
@@ -110,20 +111,22 @@ class ExperimentConfig:
         need(_is_int(self.merge_capacity) and self.merge_capacity >= 1,
              "merge_capacity", "an integer >= 1")
         _judged("step", degrees._real, self.step, "step", _MIN_G_STEP, _MAX_G_STEP)
-        need(isinstance(self.policies, list), "policies", "a list")
+        need(isinstance(self.policies, list) and len(self.policies) > 0,
+             "policies", "a nonempty list")
         for p in self.policies:
             if p not in POLICIES:
                 raise ConfigError(f"field 'policies': unknown policy {p!r}")
-        pmf_u, _, _ = _resolve(self, {}, "")
-        if BIASED_GREEDY in self.policies and pmf_u.k_max > 2:
+        top = _resolve({name: getattr(self, name) for name in _ENTRY_FIELDS}, "")
+        if BIASED_GREEDY in self.policies and top[0].k_max > 2:
             raise ConfigError(f"field 'policies': {BIASED_GREEDY!r} needs "
-                              f"model_u degrees of at most 2, not {pmf_u.k_max}")
-        need(self.models is None or isinstance(self.models, list),
-             "models", "a list or null")
-        for i, entry in enumerate(self.models or []):
+                              f"model_u degrees of at most 2, not {top[0].k_max}")
+        need(self.models is None or isinstance(self.models, list) and len(self.models) > 0,
+             "models", "a nonempty list or null")
+        self.resolved = []
+        for i, entry in enumerate(self.models or [{}]):
             need(isinstance(entry, dict) and set(entry) <= set(_ENTRY_FIELDS),
                  f"models[{i}]", f"an object with fields among {tuple(_ENTRY_FIELDS)}")
-            _resolve(self, entry, f"models[{i}].")
+            self.resolved.append(_resolve(entry, f"models[{i}].", top))
         return self
 
 
@@ -187,8 +190,7 @@ def load_config(config_path: str | None, preset: str | None,
         data.update(file_data)
     if not data:
         raise ConfigError("need --config and/or --preset")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
     cfg = ExperimentConfig(**data)
@@ -234,7 +236,8 @@ def _is_int(x) -> bool:  # the config's JSON-integer gate: 2.0 is no integer
 
 def _from_spec(spec, family: str):
     """The law or profile that a ``family`` spec names: a dict of a 'kind'
-    in ``_SPECS[family]`` and the one field that kind reads, no other."""
+    in ``_SPECS[family]`` and the one field that kind reads, no other. A
+    degree law of mean 0 is refused (Poisson c <= 1e-12 trims to one)."""
     kinds = _SPECS[family]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"{family} spec must be a dict with a 'kind': {spec!r}")
@@ -252,7 +255,10 @@ def _from_spec(spec, family: str):
     if integer and not _is_int(spec[name]):
         raise ValueError(f"{kind} spec field '{name}' must be an "
                          f"integer, not {spec[name]!r}")
-    return build(spec[name])
+    built = build(spec[name])
+    if family == "distribution":
+        degrees._positive_means(built)
+    return built
 
 
 def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
@@ -267,18 +273,12 @@ def _check_fields_read(cfg: ExperimentConfig, command: str) -> None:
                           f"{', '.join(repr(n) for n in unread)}")
 
 
-def _resolve(cfg: ExperimentConfig, entry: dict, where: str) -> tuple:
-    """(pmf_u, pmf_v, profile) of one model, each built from ``entry``
-    where it names it and from ``cfg`` otherwise; a ConfigError names the
-    first bad field, a degree law of mean 0 included (Poisson c <= 1e-12
-    trims to one)."""
-    built = []
-    for name, family in _ENTRY_FIELDS.items():
-        built.append(_judged(where + name, _from_spec,
-                             entry.get(name, getattr(cfg, name)), family))
-        if family == "distribution":
-            _judged(where + name, degrees._positive_means, built[-1])
-    return tuple(built)
+def _resolve(entry: dict, where: str, base: tuple = (None, None, None)) -> tuple:
+    """(pmf_u, pmf_v, profile) of one model: each built from ``entry``'s spec
+    if it names one, else taken from ``base``; a ConfigError names the field."""
+    return tuple(_judged(where + name, _from_spec, entry[name], family)
+                 if name in entry else old
+                 for (name, family), old in zip(_ENTRY_FIELDS.items(), base))
 
 
 def _judged(name: str, judge, value, *args):
@@ -289,16 +289,13 @@ def _judged(name: str, judge, value, *args):
         raise ConfigError(f"field '{name}': {exc}") from exc
 
 
-def _prepare(cfg: ExperimentConfig, entry: dict | None = None):
-    """Preamble of every command: the output directory, both degree laws,
-    the capacity profile and the reference fluid curve, each taken from
-    ``entry`` where it names them and from ``cfg`` otherwise.
-    Returns (out_dir, pmf_u, pmf_v, profile, curve, endpoints)."""
+def _prepare(cfg: ExperimentConfig, model: tuple):
+    """Preamble of every command: the output directory and the reference
+    fluid curve of one resolved model; returns (out_dir, curve, endpoints)."""
     out_dir = Path(cfg.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pmf_u, pmf_v, profile = _resolve(cfg, entry or {}, "")
-    curve = solve_G_general_capacity(pmf_u, pmf_v, profile, cfg.step)
-    return out_dir, pmf_u, pmf_v, profile, curve, {_model_key(curve): curve.endpoint}
+    curve = solve_G_general_capacity(*model, cfg.step)
+    return out_dir, curve, {_model_key(curve): curve.endpoint}
 
 
 def _model_key(curve: FluidCurve) -> str:
@@ -306,7 +303,7 @@ def _model_key(curve: FluidCurve) -> str:
 
 
 def _write_summary(out_dir: Path, experiment: str, results: list,
-                   endpoints: dict, **extras) -> Path:
+                   endpoints: dict, **extras) -> None:
     """Write summary.json, with each of ``extras`` that is not empty."""
     summary = {
         "experiment": experiment,
@@ -316,11 +313,9 @@ def _write_summary(out_dir: Path, experiment: str, results: list,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     summary.update((key, block) for key, block in extras.items() if block)
-    path = out_dir / "summary.json"
-    with atomic_write(path) as fh:
+    with atomic_write(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def sign_test_p(wins: int, trials: int) -> float:
@@ -337,16 +332,15 @@ def sign_test_p(wins: int, trials: int) -> float:
 
 def _stats_row(n: int, policy: str, fractions: list, sup_devs: list | None,
                **extra) -> dict:
-    row = {
+    return {
         "n": int(n),
         "policy": policy,
         "mean": float(np.mean(fractions)),
         "stddev": float(np.std(fractions)),
         "sup_dev": (float(np.max(sup_devs)) if sup_devs else None),
         "runs": len(fractions),
+        **extra,
     }
-    row.update(extra)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +350,8 @@ def _stats_row(n: int, policy: str, fractions: list, sup_devs: list | None,
 def cmd_fluid(cfg: ExperimentConfig) -> dict:
     """Solve the fluid curve for each configured model and dump CSVs."""
     endpoints = {}
-    for entry in cfg.models or [{}]:
-        out_dir, _, _, _, curve, endpoint = _prepare(cfg, entry)
+    for model in cfg.resolved:
+        out_dir, curve, endpoint = _prepare(cfg, model)
         endpoints.update(endpoint)
         safe = _model_key(curve).replace("=", "-").replace("|", "_").replace(",", "-")
         write_fluid_csv(curve, out_dir / f"fluid_{safe}.csv")
@@ -395,10 +389,10 @@ def _runs(cfg: ExperimentConfig, pmf_u, pmf_v, profile: CapacityProfile,
 
 def cmd_simulate(cfg: ExperimentConfig) -> dict:
     """Monte Carlo runs per (n, policy) with trajectories and deviations."""
-    out_dir, pmf_u, pmf_v, profile, curve, endpoints = _prepare(cfg)
+    model = cfg.resolved[0]
+    out_dir, curve, endpoints = _prepare(cfg, model)
     failures, runs = [], {n: [[] for _ in cfg.policies] for n in cfg.n_values}
-    for n, slot, traj in _runs(cfg, pmf_u, pmf_v, profile, cfg.policies,
-                               cfg.n_values, failures):
+    for n, slot, traj in _runs(cfg, *model, cfg.policies, cfg.n_values, failures):
         runs[n][slot].append((traj.final_matched / traj.capacity_total,
                               sup_deviation(traj, curve)))
         write_trajectory_csv(traj, out_dir / f"traj_{traj.policy}_n{n}_seed{traj.seed}.csv")
@@ -412,9 +406,10 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Coupled policy comparison: all policies share each run's graph."""
     if len(cfg.policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    out_dir, pmf_u, pmf_v, profile, _, endpoints = _prepare(cfg)
+    model = cfg.resolved[0]
+    out_dir, _, endpoints = _prepare(cfg, model)
     finals = {n: [[] for _ in cfg.policies] for n in cfg.n_values}
-    for n, slot, traj in _runs(cfg, pmf_u, pmf_v, profile, cfg.policies, cfg.n_values):
+    for n, slot, traj in _runs(cfg, *model, cfg.policies, cfg.n_values):
         finals[n][slot].append(traj.final_matched / traj.capacity_total)
     results, comparisons = [], {}
     for n, per_slot in finals.items():
@@ -439,9 +434,10 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     """Merge groups of C equal-degree vertices into one vertex of capacity C
     and compare greedy's normalized performance against the baseline."""
     c_merge = cfg.merge_capacity
+    pmf_u, pmf_v, _ = cfg.resolved[0]
     # the merged law stretches model_u's support by c_merge; bound it before
     # anything is written (validate cannot: other commands ignore c_merge)
-    support = _from_spec(cfg.model_u, "distribution").k_max * c_merge
+    support = pmf_u.k_max * c_merge
     if support > degrees._MAX_SUPPORT:
         raise ConfigError(f"field 'merge_capacity': the merged law's support "
                           f"{support} exceeds {degrees._MAX_SUPPORT} degrees")
@@ -449,12 +445,10 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
     if too_small:
         raise ConfigError(f"field 'n_values': {too_small} leave no merged vertex "
                           f"at merge_capacity {c_merge}")
-    out_dir, pmf_u, pmf_v, unit, base_curve, endpoints = _prepare(
-        cfg, {"capacities": {"kind": "none"}})
-    stretched = np.zeros(pmf_u.k_max * c_merge + 1)
+    out_dir, base_curve, endpoints = _prepare(cfg, (pmf_u, pmf_v, UNIT_CAPACITY))
+    stretched = np.zeros(support + 1)
     stretched[:: c_merge] = pmf_u.probs
-    pmf_u_merged = degrees.explicit(
-        stretched, label=f"{pmf_u.label}-merged-x{c_merge}")
+    pmf_u_merged = degrees.explicit(stretched, label=f"{pmf_u.label}-merged-x{c_merge}")
     merged = CapacityProfile.fixed(c_merge)
     merged_curve = solve_G_general_capacity(pmf_u_merged, pmf_v, merged, cfg.step)
     endpoints[_model_key(merged_curve)] = merged_curve.endpoint
@@ -465,7 +459,7 @@ def cmd_capacity_merge(cfg: ExperimentConfig) -> dict:
             print(f"warning: n={n} not divisible by C={c_merge}; "
                   f"merged model uses {n // c_merge} vertices", file=sys.stderr)
         for size, law, profile, curve, variant in (
-                (n, pmf_u, unit, base_curve, "baseline"),
+                (n, pmf_u, UNIT_CAPACITY, base_curve, "baseline"),
                 (n // c_merge, pmf_u_merged, merged, merged_curve, f"merged-x{c_merge}")):
             pairs = [(traj.final_matched / traj.capacity_total, sup_deviation(traj, curve))
                      for _, _, traj in _runs(cfg, law, pmf_v, profile, [GREEDY], [size])]

@@ -7,11 +7,12 @@ identical realized multigraph for a fixed (sequence, seed), which sharpens
 paired comparisons. Every policy is greedy over an order of preference on
 each arrival's endpoints that is fixed before the run, so one scan serves
 them all: each arrival takes the first endpoint in its order with capacity
-left. Each order is one value sort of integer keys (:func:`_preference_order`). The run records only that choice; histograms and choice events are
-derived from the record. The bulk Monte Carlo path
-:func:`final_matched_counts` runs the same greedy over many pairing rows: in
-lockstep across a block's rows, one numpy step per slot, from 64 rows on, and
-by the scan row by row below; each block stays within ``_BLOCK_SLOTS`` cells.
+left. Each order is one value sort of integer keys (:func:`_preference_order`).
+The run records only that choice; histograms and choice events derive from
+it. The bulk Monte Carlo path :func:`final_matched_counts` runs the same
+greedy over blocks of pairing rows, each within ``_BLOCK_SLOTS`` cells: in
+lockstep across a block's rows (one numpy step per slot) from 64 rows on,
+else by the scan row by row.
 
 Orders of preference (endpoints with equal keys go in uniform order):
 

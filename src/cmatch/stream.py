@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,11 @@ def decision_stream(seed: int) -> random.Random:
     return random.Random(2 * _count(seed, "seed", 0) + 2)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:  # the array, made read-only
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeSequencePair:
     """Realized degree sequences for one run.
@@ -42,7 +48,7 @@ class DegreeSequencePair:
     arrival order. The balancing vertex pads both sides to equal half-edge
     totals: ``pad_u`` is the degree of offline vertex N and ``pad_v`` that
     of arrival T, and at most one of them is nonzero. Its edges never count
-    toward matchings.
+    toward matchings. Each layout below is computed once, read-only.
     """
 
     deg_u: np.ndarray
@@ -63,37 +69,35 @@ class DegreeSequencePair:
         """Pool size: offline half-edges including the balancing vertex."""
         return int(self.deg_u.sum()) + self.pad_u
 
-    @property
+    @cached_property
     def arrival_offsets(self) -> np.ndarray:
         """Slice bounds in a pairing row: arrival v owns ``row[off[v]:off[v + 1]]``;
         ``off[T]``, the arrival half-edge count, starts the balancing tail."""
-        return np.concatenate(([0], np.cumsum(self.deg_v)))
+        return _frozen(np.concatenate(([0], np.cumsum(self.deg_v))))
 
-    @property
+    @cached_property
     def slot_arrival(self) -> np.ndarray:
         """Arrival id of every slot of a pairing row; T marks the tail that
         pairs with the balancing arrival."""
-        return np.repeat(np.arange(self.n_arrivals + 1),
-                         np.append(self.deg_v, self.pad_v))
+        return _frozen(np.repeat(np.arange(self.n_arrivals + 1),
+                                 np.append(self.deg_v, self.pad_v)))
 
-    @property
+    @cached_property
     def slot_vertex(self) -> np.ndarray:
         """Offline vertex id of every offline half-edge, vertex by vertex;
         the balancing vertex N holds the last ``pad_u`` slots."""
-        return np.repeat(np.arange(self.n_offline + 1, dtype=np.int64),
-                         np.append(self.deg_u, self.pad_u))
+        return _frozen(np.repeat(np.arange(self.n_offline + 1, dtype=np.int64),
+                                 np.append(self.deg_u, self.pad_u)))
 
     @classmethod
     def from_degrees(cls, deg_u, deg_v) -> "DegreeSequencePair":
         """Pair two raw degree sequences, padding the short side; each is 1-D,
         of whole numbers in [0, 10^6] (every law's bound), copied, then frozen."""
-        deg_u, deg_v = (_whole(deg, name, 0, _MAX_SUPPORT).astype(np.int64)
+        deg_u, deg_v = (_frozen(_whole(deg, name, 0, _MAX_SUPPORT).astype(np.int64))
                         for deg, name in ((deg_u, "deg_u"), (deg_v, "deg_v")))
         if deg_u.ndim != 1 or deg_v.ndim != 1:
             raise ValueError("deg_u and deg_v must be 1-D sequences")
         diff = int(deg_u.sum()) - int(deg_v.sum())
-        deg_u.setflags(write=False)
-        deg_v.setflags(write=False)
         return cls(deg_u=deg_u, deg_v=deg_v, pad_u=max(-diff, 0), pad_v=max(diff, 0))
 
 
@@ -179,9 +183,7 @@ def build_full_graph(seq: DegreeSequencePair, seed: int) -> Multigraph:
     """Realize the whole pairing for this sequence pair: the very row a
     policy run reads at the same seed, so the edge set equals what that run
     reveals."""
-    row = pair_half_edges(seq, pairing_stream(seed))[0]
-    row.setflags(write=False)
-    return Multigraph(seq, row)
+    return Multigraph(seq, _frozen(pair_half_edges(seq, pairing_stream(seed))[0]))
 
 
 def write_edge_list(graph: Multigraph, path) -> None:

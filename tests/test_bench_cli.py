@@ -82,8 +82,6 @@ def test_bad_distribution_spec_names_field(tmp_path):
 
 def test_from_spec_round_trip(tmp_path):
     # every kind of both spec families, each read through load_config
-    from cmatch.bench_cli import _resolve
-
     laws = [({"kind": "regular", "d": 3}, 3.0),
             ({"kind": "poisson", "c": 2.0}, pytest.approx(2.0, abs=1e-9)),
             ({"kind": "explicit", "probs": [0.5, 0.5]}, 0.5)]
@@ -92,7 +90,7 @@ def test_from_spec_round_trip(tmp_path):
     for (law, mean), (caps, label) in zip(laws, profiles):
         path = _write_config(tmp_path, _tiny_simulate_config(
             tmp_path, model_u=law, model_v=law, capacities=caps))
-        pmf_u, pmf_v, profile = _resolve(load_config(path, None, None, None), {}, "")
+        [(pmf_u, pmf_v, profile)] = load_config(path, None, None, None).resolved
         assert pmf_u.mean == mean and pmf_v.mean == mean
         assert profile.label == label
     for bad in ({}, {"kind": "weird"}, {"kind": "regular"}, "regular", {"kind": "poisson"},
@@ -335,6 +333,41 @@ def _once_per_n_and_seed(command):
     return Counter((n, seed) for n in sizes for seed in seeds)
 
 
+# Each command's config holds these specs: Poisson-4/regular-3, plus for
+# fluid two models entries that name some fields and inherit the others.
+_SPY_LAWS = {"model_u": {"kind": "poisson", "c": 4},
+             "model_v": {"kind": "regular", "d": 3}}
+_SPY_FIELDS = {
+    "fluid": {"models": [{"model_v": {"kind": "regular", "d": 2}},
+                         {"model_u": {"kind": "regular", "d": 2},
+                          "capacities": {"kind": "fixed", "C": 2}}]},
+    "simulate": {"n_values": [60], "runs": 1},
+    "compare": {"n_values": [60], "runs": 1, "policies": ["greedy", "ranking"]},
+    "capacity-merge": {"n_values": [60], "runs": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPY_FIELDS))
+def test_each_spec_is_built_once(tmp_path, monkeypatch, command):
+    from cmatch import bench_cli
+
+    built = Counter()
+    for kinds in bench_cli._SPECS.values():
+        for kind, (name, integer, build) in kinds.items():
+            def spy(*args, kind=kind, build=build):
+                built[kind] += 1
+                return build(*args)
+            monkeypatch.setitem(kinds, kind, (name, integer, spy))
+    cfg = {"experiment": "spy", "outputs": str(tmp_path / "o"), "step": 1e-2,
+           **_SPY_LAWS, **_SPY_FIELDS[command]}
+    assert main([command, "--config", _write_config(tmp_path, cfg)]) == 0
+    # the top-level model's three specs (capacities at its default), then
+    # each field a models entry names
+    held = [_SPY_LAWS["model_u"], _SPY_LAWS["model_v"], {"kind": "none"},
+            *(spec for entry in cfg.get("models", []) for spec in entry.values())]
+    assert built == Counter(spec["kind"] for spec in held)
+
+
 class _FailingFile:
     """Text file whose write raises after its first successful call."""
 
@@ -535,6 +568,9 @@ def test_bad_checkpoint_every_is_exit_2(tmp_path, capsys, every):
     ("n_values", [200, 120, 200]),
     # a kind of the other spec family
     ("capacities", {"kind": "regular", "d": 2}),
+    # an empty list runs nothing: fluid would fall back to the top-level model
+    ("models", []),
+    ("policies", []),
 ])
 def test_mistyped_field_is_exit_2(tmp_path, capsys, field, value):
     path = _write_config(tmp_path, _tiny_simulate_config(

@@ -1,7 +1,9 @@
-"""Every demo runs to exit 0 at a small size, so a renamed public name
-breaks the suite and not only the demos. None needs matplotlib."""
+"""Every demo runs to exit 0 at a small size, and the README's Quick tour
+runs too, so a renamed public name breaks the suite and not only the demos
+or the docs. None needs matplotlib."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,9 @@ def test_demo_exits_zero(tmp_path, script):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

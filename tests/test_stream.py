@@ -253,6 +253,15 @@ def test_seed_loop_finds_a_simple_graph():
         assert ok == (len(set(edges)) == len(edges))
 
 
+def test_layouts_are_computed_once_and_read_only():
+    seq = DegreeSequencePair.from_degrees([2, 1, 3], [1, 3, 2])
+    for name in ("arrival_offsets", "slot_arrival", "slot_vertex"):
+        layout = getattr(seq, name)
+        assert getattr(seq, name) is layout
+        with pytest.raises(ValueError, match="read-only"):
+            layout[0] = 0
+
+
 def test_leftover_edges_are_flagged(tmp_path):
     seq = DegreeSequencePair.from_degrees([2, 2], [1, 1])  # pad_v == 2
     g = build_full_graph(seq, seed=0)
